@@ -129,10 +129,15 @@ func BenchmarkEngineStepParallel(b *testing.B) {
 // per-round halo exchange (two rows per shard).  The CI gate requires the
 // 4-worker 4096x4096 step to beat the 1-worker step by at least 2x within
 // the same run — the scaling the striped tier never achieved, and the
-// reason the sharded tier exists.  Steady state is allocation-free (the
-// stepper owns its buffers), pinned by the zero-alloc gate.
+// reason the sharded tier exists.  The 256x256 entries gate the compiled
+// rule table instead: the sharded tier steps a 5-color SMP run through one
+// table load per vertex, and CI requires the 1-worker 256x256 step to beat
+// BenchmarkEngineStepSequential/256x256 (the Counts oracle on the same
+// coloring) by at least 4x within the same run.  Steady state is
+// allocation-free (the stepper owns its buffers), pinned by the zero-alloc
+// gate.
 func BenchmarkEngineStepSharded(b *testing.B) {
-	for _, size := range []int{1024, 4096} {
+	for _, size := range []int{256, 1024, 4096} {
 		topo := grid.MustNew(grid.KindToroidalMesh, size, size)
 		eng := sim.NewEngine(topo, rules.SMP{})
 		initial := randomColoring(1, topo.Dims(), 5)

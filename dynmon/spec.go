@@ -623,6 +623,10 @@ func (s *System) buildGraphInitial(ispec *InitialSpec, target Color) (*Construct
 	}, nil
 }
 
+// ErrDimsTooLarge is the error (wrapped) returned when a torus spec asks
+// for more than math.MaxInt32 vertices, before anything is allocated.
+var ErrDimsTooLarge = grid.ErrDimsTooLarge
+
 // FileSpec is the complete declarative description of one run — the format
 // of spec files (-spec on the CLI tools): a system, an optional initial
 // configuration and the run options.  Initial may be omitted by tools that

@@ -2,6 +2,7 @@ package dynmon
 
 import (
 	"encoding/json"
+	"errors"
 	"strings"
 	"testing"
 
@@ -339,6 +340,26 @@ func TestFileSpecAcceptsBareSystemSpec(t *testing.T) {
 	}
 	if _, err := ParseFileSpec([]byte(`{"system":{"substrate":{"topology":{"name":"mesh","rows":4,"cols":4}},"colors":3},"run":{"target":1},"bogus":true}`)); err == nil {
 		t.Fatal("unknown file-spec field accepted")
+	}
+}
+
+// TestFileSpecBuildRejectsOverflowingDims pins the fix for a spec whose
+// vertex count overflows: Build must return ErrDimsTooLarge instead of
+// panicking in the CSR allocation.  The spec still parses (the bound is a
+// semantic check, not a wire-format change); Digest canonicalizes the
+// topology and names the same error.
+func TestFileSpecBuildRejectsOverflowingDims(t *testing.T) {
+	for _, topo := range []string{"mesh", "cordalis", "serpentinus"} {
+		fs, err := ParseFileSpec([]byte(`{"system":{"substrate":{"topology":{"name":"` + topo + `","rows":3037000500,"cols":3037000500}},"colors":5},"initial":{"config":"random","seed":1}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fs.Digest(); !errors.Is(err, ErrDimsTooLarge) {
+			t.Fatalf("%s: Digest = %v, want ErrDimsTooLarge", topo, err)
+		}
+		if _, _, _, err := fs.Build(); !errors.Is(err, ErrDimsTooLarge) {
+			t.Fatalf("%s: Build = %v, want ErrDimsTooLarge", topo, err)
+		}
 	}
 }
 

@@ -10,7 +10,9 @@
 package grid
 
 import (
+	"errors"
 	"fmt"
+	"math"
 )
 
 // Degree is the number of neighbors of every vertex in all three torus
@@ -32,11 +34,20 @@ type Dims struct {
 	Rows, Cols int
 }
 
+// ErrDimsTooLarge is the error (wrapped) NewDims returns for a torus with
+// more than math.MaxInt32 vertices: the CSR index stores vertex ids as
+// int32, and beyond that the vertex count itself can overflow int.
+var ErrDimsTooLarge = errors.New("grid: torus has more than math.MaxInt32 vertices")
+
 // NewDims validates and returns the dimensions of an m×n torus.  The paper
-// requires m, n >= 2.
+// requires m, n >= 2; the vertex count m·n must not exceed math.MaxInt32
+// (checked without computing the product, which could overflow).
 func NewDims(rows, cols int) (Dims, error) {
 	if rows < 2 || cols < 2 {
 		return Dims{}, fmt.Errorf("grid: dimensions must be at least 2x2, got %dx%d", rows, cols)
+	}
+	if rows > math.MaxInt32/cols {
+		return Dims{}, fmt.Errorf("%w: got %dx%d", ErrDimsTooLarge, rows, cols)
 	}
 	return Dims{Rows: rows, Cols: cols}, nil
 }

@@ -1,6 +1,8 @@
 package grid
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -18,6 +20,41 @@ func TestNewDimsValidation(t *testing.T) {
 	}
 	if d.Rows != 3 || d.Cols != 4 || d.N() != 12 {
 		t.Errorf("unexpected dims %+v", d)
+	}
+}
+
+// TestNewDimsRejectsOverflow pins the vertex-count bound: m·n above
+// math.MaxInt32 (the CSR's int32 vertex ids) is rejected with
+// ErrDimsTooLarge, including products that would overflow int, while
+// counts at the bound are accepted.
+func TestNewDimsRejectsOverflow(t *testing.T) {
+	for _, c := range []struct{ rows, cols int }{
+		{3037000500, 3037000500},
+		{46341, 46341},
+		{2, math.MaxInt32/2 + 1},
+		{math.MaxInt32/2 + 1, 2},
+		{math.MaxInt, 2},
+		{2, math.MaxInt},
+		{math.MaxInt, math.MaxInt},
+	} {
+		if _, err := NewDims(c.rows, c.cols); !errors.Is(err, ErrDimsTooLarge) {
+			t.Errorf("NewDims(%d, %d) = %v, want ErrDimsTooLarge", c.rows, c.cols, err)
+		}
+		if _, err := New(KindTorusCordalis, c.rows, c.cols); !errors.Is(err, ErrDimsTooLarge) {
+			t.Errorf("New(cordalis, %d, %d) = %v, want ErrDimsTooLarge", c.rows, c.cols, err)
+		}
+	}
+	for _, c := range []struct{ rows, cols int }{
+		{46340, 46340},
+		{2, math.MaxInt32 / 2},
+		{math.MaxInt32 / 2, 2},
+	} {
+		d, err := NewDims(c.rows, c.cols)
+		if err != nil {
+			t.Errorf("NewDims(%d, %d): %v", c.rows, c.cols, err)
+		} else if d.N() > math.MaxInt32 {
+			t.Errorf("NewDims(%d, %d) accepted %d vertices", c.rows, c.cols, d.N())
+		}
 	}
 }
 

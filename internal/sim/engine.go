@@ -27,6 +27,21 @@
 // mid-run bitplane→frontier downshift) is documented on the Kernel
 // constants.
 //
+// On a dense degree-4 substrate every rule is a pure function of a vertex's
+// color and its four neighbors' colors, so the engine compiles it, from
+// Rule.Next, into a lookup table of k⁵ bytes over the palette [0, k) (None
+// included), cached per k (see lut.go).  A run uses the table when the
+// substrate is dense degree-4, k ≤ 9, the run is not time-varying, and the
+// rule maps the palette into itself — checked entry by entry at compile
+// time, so a run can never index outside the table.  k is taken once per
+// run from the top color present (and, for noisy runs, Noise.Colors).  The
+// frontier, sharded and stochastic steppers evaluate through the table;
+// runs that do not qualify take the generic offset-framed loop.  The
+// oracle — Engine.Step, the deterministic KernelSweep and KernelParallel
+// sweeps, FullSweep, RunAsync — keeps the rules.Counts path on purpose:
+// every differential test then compares the table against an independent
+// implementation.
+//
 // The synchronous execution model is itself a seam: Options.Schedule
 // selects which vertices fire each round (uniform-async, sequential
 // raster, random-sequential, vertex-clock — see ScheduleKind), and
@@ -54,6 +69,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/color"
 	"repro/internal/grid"
@@ -449,9 +465,11 @@ type Engine struct {
 	// and csr.Rev lists who must be re-evaluated when v changes.
 	csr *grid.CSR
 	// deg4 marks a dense 4-regular index (all tori), which licenses the
-	// unrolled degree-4 inner loops; irregular substrates take the generic
-	// offset-framed loops instead.
+	// oracle's unrolled degree-4 loop and the compiled rule tables;
+	// irregular substrates take the generic offset-framed loops instead.
 	deg4 bool
+	// luts caches the rule compiled per palette radix (see lutForTop).
+	luts [maxLUTRadix + 1]atomic.Pointer[lut]
 	// maxDeg sizes the per-run neighbor scratch buffers.
 	maxDeg int
 	// pool recycles per-run state (double buffers, frontier queues) across
@@ -642,15 +660,9 @@ func (e *Engine) stepRange(cur, next []color.Color, lo, hi int, scratch []color.
 }
 
 // stepRange4 is the unrolled inner loop for dense 4-regular indexes — the
-// hot path of every torus run, kept free of per-vertex offset loads.
+// oracle's hot path on every torus, kept free of per-vertex offset loads.
 func (e *Engine) stepRange4(cur, next []color.Color, lo, hi int) int {
-	return e.stepRange4On(e.csr.Neighbors, cur, next, lo, hi)
-}
-
-// stepRange4On is stepRange4 over an explicit dense 4-regular neighbor
-// table, the seam that lets the sharded stepper run its shard-local
-// adjacency through the same unrolled loop the global sweep uses.
-func (e *Engine) stepRange4On(fwd []int32, cur, next []color.Color, lo, hi int) int {
+	fwd := e.csr.Neighbors
 	changed := 0
 	if cr := e.countRule; cr != nil {
 		for v := lo; v < hi; v++ {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/color"
-	"repro/internal/grid"
 	"repro/internal/rules"
 )
 
@@ -61,11 +60,12 @@ type Frontier struct {
 	prevChanged int
 	cycle       bool
 	round       int
-	// scratch4 backs the slice-path rule invocation on dense 4-regular
-	// substrates; scratch backs it (and the counts-overflow fallback) on
-	// irregular ones.  Both live here so Step stays allocation-free.
-	scratch4 [grid.Degree]color.Color
-	scratch  []color.Color
+	// lut is the run's compiled rule (nil when the palette does not
+	// qualify), chosen from the histogram whenever clearTrace rebuilds it.
+	lut *lut
+	// scratch backs the generic loop's slice-path rule invocation, so Step
+	// stays allocation-free.
+	scratch []color.Color
 }
 
 // newFrontier allocates a frontier with a blank configuration; callers must
@@ -113,10 +113,10 @@ func (f *Frontier) Reset(initial *color.Coloring) {
 
 // clearTrace rewinds every piece of per-run bookkeeping — epoch marks,
 // period-2 trace, change journal, cycle state — and rebuilds the color
-// histogram from the current configuration.  It is the shared tail of
-// Reset, seedFromBitplane and seedFromCheckpoint; callers overwrite the
-// fields their seed state knows better (prevChanged, cycle, lastRound
-// entries) afterwards.
+// histogram from the current configuration, which picks the run's table.
+// It is the shared tail of Reset, seedFromBitplane and seedFromCheckpoint;
+// callers overwrite the fields their seed state knows better (prevChanged,
+// cycle, lastRound entries) afterwards.
 func (f *Frontier) clearTrace() {
 	f.prevChanged = 0
 	f.cycle = false
@@ -134,6 +134,13 @@ func (f *Frontier) clearTrace() {
 	for _, c := range f.cfg.Cells() {
 		f.histInc(c)
 	}
+	// The table is sized by the top color present, not by len(f.hist),
+	// which never shrinks across pooled runs.
+	top := len(f.hist) - 1
+	for top > 0 && f.hist[top] == 0 {
+		top--
+	}
+	f.lut = f.e.lutForTop(top)
 }
 
 // scheduleAll queues every vertex for round f.round+1 — the "nothing is
@@ -205,44 +212,26 @@ func (f *Frontier) Step() int {
 	cells := f.cfg.Cells()
 	fwd := f.e.csr.Neighbors
 
-	// Evaluate the frontier against pre-round state, journaling changes.
+	// Evaluate the frontier against pre-round state, journaling changes:
+	// one table load per vertex when the run's palette compiled (see lut),
+	// the offset-framed generic loop otherwise.
 	f.chV, f.chOld, f.chNew = f.chV[:0], f.chOld[:0], f.chNew[:0]
-	switch cr := f.e.countRule; {
-	case f.e.deg4 && cr != nil:
+	if t := f.lut; t != nil {
 		for _, v := range f.queue {
-			base := int(v) * grid.Degree
-			var cs rules.Counts
-			cs.Add(cells[fwd[base]])
-			cs.Add(cells[fwd[base+1]])
-			cs.Add(cells[fwd[base+2]])
-			cs.Add(cells[fwd[base+3]])
+			b := 4 * int(v)
+			n := fwd[b : b+4 : b+4]
 			cur := cells[v]
-			if nc := cr.NextFromCounts(cur, cs); nc != cur {
+			if nc := t.at(cur, cells[n[0]], cells[n[1]], cells[n[2]], cells[n[3]]); nc != cur {
 				f.chV = append(f.chV, v)
 				f.chOld = append(f.chOld, cur)
 				f.chNew = append(f.chNew, nc)
 			}
 		}
-	case f.e.deg4:
-		rule := f.e.rule
-		for _, v := range f.queue {
-			base := int(v) * grid.Degree
-			f.scratch4[0] = cells[fwd[base]]
-			f.scratch4[1] = cells[fwd[base+1]]
-			f.scratch4[2] = cells[fwd[base+2]]
-			f.scratch4[3] = cells[fwd[base+3]]
-			cur := cells[v]
-			if nc := rule.Next(cur, f.scratch4[:]); nc != cur {
-				f.chV = append(f.chV, v)
-				f.chOld = append(f.chOld, cur)
-				f.chNew = append(f.chNew, nc)
-			}
-		}
-	default:
-		// Irregular substrate: offset-framed rows, counts fast path when
-		// the multiset fits a Counts vector exactly, slice path otherwise.
+	} else {
+		// Counts fast path when the multiset fits a Counts vector exactly,
+		// slice path otherwise.
 		off := f.e.csr.Off
-		rule := f.e.rule
+		cr, rule := f.e.countRule, f.e.rule
 		for _, v := range f.queue {
 			row := fwd[off[v]:off[v+1]]
 			cur := cells[v]

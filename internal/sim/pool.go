@@ -40,10 +40,11 @@ type stripeTask struct {
 	avail   Availability
 	scratch []color.Color
 
-	// sched and noise parameterize the stochastic stripe; both are read-only
-	// during a step, so stripes share them without coordination.
+	// sched, noise and lut parameterize the stochastic stripe; all are
+	// read-only during a step, so stripes share them without coordination.
 	sched *Schedule
 	noise *Noise
+	lut   *lut
 
 	lo, hi  int
 	changed int
@@ -71,7 +72,7 @@ func (t *stripeTask) growScratch() {
 
 func (t *stripeTask) runStochastic() {
 	t.growScratch()
-	t.changed = t.e.stepRangeStochastic(t.round, t.sched, t.noise, t.cur, t.next, t.lo, t.hi, t.scratch)
+	t.changed = t.e.stepRangeStochastic(t.round, t.sched, t.noise, t.lut, t.cur, t.next, t.lo, t.hi, t.scratch)
 }
 
 func (t *stripeTask) runBitSlab() {

@@ -215,9 +215,8 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 // noise is active.  Reads come from cur, writes go to next, so stripes
 // parallelize exactly like the synchronous sweep; all randomness is
 // counter-based, making the result independent of the stripe partition.
-func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	cr := e.countRule
+// t is the run's compiled rule, nil for the generic path.
+func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t *lut, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
 	r := uint64(round)
 	changed := 0
 	for v := lo; v < hi; v++ {
@@ -226,7 +225,7 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 			next[v] = cv
 			continue
 		}
-		nc := e.nextColor(cr, fwd, off, cur, v, cv, &scratch)
+		nc := e.nextColor(t, cur, v, cv, &scratch)
 		if noise != nil {
 			nc = rules.FaultDraw(noise.Seed, r, uint64(v), noise.Eps, noise.Colors, nc)
 		}
@@ -238,13 +237,19 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, c
 	return changed
 }
 
-// nextColor computes one rule application over the CSR row of v: the counts
-// fast path when the neighborhood fits a Counts vector exactly, the rule's
-// slice path otherwise.  scratch is passed by pointer so growth survives for
-// the caller's next vertex.
-func (e *Engine) nextColor(cr rules.CountRule, fwd, off []int32, cells []color.Color, v int, cv color.Color, scratch *[]color.Color) color.Color {
-	row := fwd[off[v]:off[v+1]]
-	if cr != nil {
+// nextColor computes one rule application at v: one load from the compiled
+// table t when the run has one, otherwise over the CSR row of v through the
+// counts fast path when the neighborhood fits a Counts vector exactly and
+// the rule's slice path when it does not.  scratch is passed by pointer so
+// growth survives for the caller's next vertex.
+func (e *Engine) nextColor(t *lut, cells []color.Color, v int, cv color.Color, scratch *[]color.Color) color.Color {
+	fwd := e.csr.Neighbors
+	if t != nil {
+		n := fwd[4*v : 4*v+4 : 4*v+4]
+		return t.at(cv, cells[n[0]], cells[n[1]], cells[n[2]], cells[n[3]])
+	}
+	row := fwd[e.csr.Off[v]:e.csr.Off[v+1]]
+	if cr := e.countRule; cr != nil {
 		var cs rules.Counts
 		fits := true
 		for _, u := range row {
@@ -268,16 +273,16 @@ func (e *Engine) nextColor(cr rules.CountRule, fwd, off []int32, cells []color.C
 // stepParallelStochastic is stepRangeStochastic striped across workers,
 // bit-identical to the sequential form because schedule masks and fault
 // draws are pure functions of (round, vertex).
-func (e *Engine) stepParallelStochastic(round int, sched *Schedule, noise *Noise, cur, next []color.Color, workers int, st *runState) int {
+func (e *Engine) stepParallelStochastic(round int, sched *Schedule, noise *Noise, t *lut, cur, next []color.Color, workers int, st *runState) int {
 	n := len(cur)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		return e.stepRangeStochastic(round, sched, noise, cur, next, 0, n, st.scratch)
+		return e.stepRangeStochastic(round, sched, noise, t, cur, next, 0, n, st.scratch)
 	}
-	done := st.stripeAcross(n, workers, func(t *stripeTask, lo, hi int) {
-		*t = stripeTask{run: runStochasticTask, wg: &st.wg, e: e, cur: cur, next: next, lo: lo, hi: hi, round: round, sched: sched, noise: noise}
+	done := st.stripeAcross(n, workers, func(task *stripeTask, lo, hi int) {
+		*task = stripeTask{run: runStochasticTask, wg: &st.wg, e: e, cur: cur, next: next, lo: lo, hi: hi, round: round, sched: sched, noise: noise, lut: t}
 	})
 	total := 0
 	for i := range done {
@@ -299,6 +304,9 @@ type stochasticDriver struct {
 	sched     Schedule
 	noise     *Noise
 	workers   int
+	// lut is the run's compiled rule, nil when the palette — the initial
+	// colors plus the fault palette of a noisy run — does not qualify.
+	lut *lut
 	// order is the sequential kinds' sweep-order buffer, identity for raster
 	// and a per-round derived permutation for random-sequential.
 	order []int
@@ -315,6 +323,11 @@ func (e *Engine) newStochasticDriver(st *runState, initial *color.Coloring, opt 
 	cur, next := st.buffers(e)
 	d := &stochasticDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise, workers: workers}
 	d.cur.CopyFrom(initial)
+	faultTop := 0
+	if noise != nil {
+		faultTop = noise.Colors
+	}
+	d.lut = e.lutForCells(initial.Cells(), faultTop)
 	if opt.DetectCycles && sched.Kind == ScheduleSequential && noise == nil {
 		if st.prevPrev == nil {
 			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
@@ -340,9 +353,9 @@ func (d *stochasticDriver) stepRound(round int, res *Result, opt Options) int {
 	cur, next := d.cur, d.next
 	var changed int
 	if d.workers > 1 {
-		changed = e.stepParallelStochastic(round, &d.sched, d.noise, cur.Cells(), next.Cells(), d.workers, st)
+		changed = e.stepParallelStochastic(round, &d.sched, d.noise, d.lut, cur.Cells(), next.Cells(), d.workers, st)
 	} else {
-		changed = e.stepRangeStochastic(round, &d.sched, d.noise, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
+		changed = e.stepRangeStochastic(round, &d.sched, d.noise, d.lut, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
 	}
 	if opt.Target != color.None {
 		for v, n := 0, cur.N(); v < n; v++ {
@@ -369,14 +382,12 @@ func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options)
 	cells := d.cur.Cells()
 	n := len(cells)
 	d.next.CopyFrom(d.cur)
-	fwd, off := e.csr.Neighbors, e.csr.Off
-	cr := e.countRule
 	scratch := d.st.scratch
 	r := uint64(round)
 	changed := 0
 	step := func(v int) {
 		cv := cells[v]
-		nc := e.nextColor(cr, fwd, off, cells, v, cv, &scratch)
+		nc := e.nextColor(d.lut, cells, v, cv, &scratch)
 		if d.noise != nil {
 			nc = rules.FaultDraw(d.noise.Seed, r, uint64(v), d.noise.Eps, d.noise.Colors, nc)
 		}

@@ -45,11 +45,12 @@ type shardState struct {
 // Sharded is the domain-decomposed stepper: the substrate is cut into
 // contiguous degree-balanced shards (row-band slabs on the dense tori, see
 // grid.CSR.Shards), each shard steps its interior out of shard-local
-// buffers through the engine's usual inner loops rewritten over the local
-// adjacency, and a per-round halo exchange copies only the boundary cells
-// between shards.  Interior work takes no locks and touches no shared
-// mutable memory; the only cross-shard traffic is the O(halo) exchange on
-// the submitting goroutine between the round barrier and the buffer swap.
+// buffers through the compiled rule table (or the generic loop, when the
+// palette does not qualify) over the local adjacency, and a per-round halo
+// exchange copies only the boundary cells between shards.  Interior work
+// takes no locks and touches no shared mutable memory; the only cross-shard
+// traffic is the O(halo) exchange on the submitting goroutine between the
+// round barrier and the buffer swap.
 //
 // Results are bit-identical to the sequential sweep: local rows preserve
 // the global neighbor order, so every vertex reads exactly the multiset the
@@ -63,7 +64,9 @@ type Sharded struct {
 	// requested is the worker count the stepper was built for (the pool's
 	// rebuild key); the actual shard count may be lower on small substrates.
 	requested int
-	deg4      bool
+	// lut is the run's compiled rule, nil when the palette does not
+	// qualify (chosen by reset from the initial coloring).
+	lut *lut
 
 	// Round-scoped parameters staged by the driver before dispatch and read
 	// by the shard workers (the task handoff orders the writes).
@@ -97,7 +100,6 @@ func (e *Engine) NewSharded(workers int) *Sharded {
 	sh := &Sharded{
 		e:         e,
 		requested: workers,
-		deg4:      e.deg4,
 		cfg:       color.NewColoring(d, color.None),
 		cfgRound:  -1,
 		shards:    make([]shardState, len(parts)),
@@ -108,9 +110,7 @@ func (e *Engine) NewSharded(workers int) *Sharded {
 		s.cs = cs
 		s.cur = make([]color.Color, cs.Len())
 		s.next = make([]color.Color, cs.Len())
-		if !e.deg4 {
-			s.scratch = make([]color.Color, 0, cs.MaxDegree())
-		}
+		s.scratch = make([]color.Color, 0, cs.MaxDegree())
 	}
 	return sh
 }
@@ -152,6 +152,7 @@ func (sh *Sharded) Reset(initial *color.Coloring) {
 // otherwise, exactly as sweepDriver does) and the tracked target color.
 func (sh *Sharded) reset(initial *color.Coloring, detectCycles bool, target color.Color, prevSeed *color.Coloring) {
 	cells := initial.Cells()
+	sh.lut = sh.e.lutForCells(cells, 0)
 	for i := range sh.shards {
 		s := &sh.shards[i]
 		owned := s.cs.Owned()
@@ -219,18 +220,18 @@ func (sh *Sharded) Step() int {
 }
 
 // stepShard is the worker-side leaf: step shard i's interior from its
-// local cur into its local next through the engine's inner loops, then the
+// local cur into its local next through the compiled table (or the generic
+// offset-framed loop when the run's palette does not qualify), then the
 // per-shard slice of the target trace and the period-2 comparison, all of
 // it touching only shard-local memory (plus the disjoint FirstReached
 // range [Lo, Hi)).
 func (sh *Sharded) stepShard(i int) {
 	s := &sh.shards[i]
 	owned := s.cs.Owned()
-	e := sh.e
-	if sh.deg4 {
-		s.changed = e.stepRange4On(s.cs.Adj, s.cur, s.next, 0, owned)
+	if sh.lut != nil {
+		s.changed = stepRangeLUT(sh.lut, s.cs.Adj, s.cur, s.next, 0, owned)
 	} else {
-		s.changed = e.stepRangeGenericOn(s.cs.Adj, s.cs.Off, s.cur, s.next, 0, owned, s.scratch)
+		s.changed = sh.e.stepRangeGenericOn(s.cs.Adj, s.cs.Off, s.cur, s.next, 0, owned, s.scratch)
 	}
 	if fr := sh.firstReached; fr != nil {
 		target, round, lo := sh.target, sh.round, s.cs.Lo
