@@ -92,44 +92,14 @@ func BenchmarkEngineStepSequential(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineStepParallel measures single-round throughput of the
-// striped parallel stepper.  Steady-state striped stepping is
-// allocation-free (pinned by TestParallelStepDoesNotAllocate and by the CI
-// zero-alloc gate on this benchmark): the warm-up step below moves the
-// one-time pool misses out of the timed window, and the explicit GC keeps a
-// collection triggered by setup debt from evicting the engine's state pool
-// mid-measurement.
-func BenchmarkEngineStepParallel(b *testing.B) {
-	for _, size := range []int{128, 256} {
-		for _, workers := range []int{2, 4, 8} {
-			name := grid.MustDims(size, size).String() + "-workers" + string(rune('0'+workers))
-			b.Run(name, func(b *testing.B) {
-				topo := grid.MustNew(grid.KindToroidalMesh, size, size)
-				eng := sim.NewEngine(topo, rules.SMP{})
-				cur := randomColoring(1, topo.Dims(), 5)
-				next := cur.Clone()
-				eng.StepParallel(cur, next, workers)
-				runtime.GC()
-				b.SetBytes(int64(topo.Dims().N()))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					eng.StepParallel(cur, next, workers)
-					cur, next = next, cur
-				}
-			})
-		}
-	}
-}
-
 // BenchmarkEngineStepSharded measures single-round throughput of the
 // domain-decomposed stepper at the sizes it exists for: tori whose working
 // set dwarfs any single cache hierarchy.  Each worker steps its own shard
 // from shard-local double buffers; the only cross-shard traffic is the
 // per-round halo exchange (two rows per shard).  The CI gate requires the
 // 4-worker 4096x4096 step to beat the 1-worker step by at least 2x within
-// the same run — the scaling the striped tier never achieved, and the
-// reason the sharded tier exists.  The 256x256 entries gate the compiled
+// the same run — the scaling the removed striped tier never achieved, and
+// the reason the sharded tier is the engine's one parallel scalar tier.  The 256x256 entries gate the compiled
 // rule table instead: the sharded tier steps a 5-color SMP run through one
 // table load per vertex, and CI requires the 1-worker 256x256 step to beat
 // BenchmarkEngineStepSequential/256x256 (the Counts oracle on the same

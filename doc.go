@@ -9,7 +9,7 @@
 //     degree-aware generalization and the bi-colored baseline rules of
 //     Flocchini et al. — internal/rules;
 //   - a topology-generic synchronous simulation engine: four bit-identical
-//     stepping tiers (full sweep, striped parallel, dirty frontier,
+//     stepping tiers (full sweep, sharded parallel, dirty frontier,
 //     word-parallel bitplane) over any CSR substrate — the three tori or
 //     arbitrary graphs — plus a bit-sliced ensemble tier stepping up to 64
 //     two-color replicas per word op for batched runs, and a time-varying

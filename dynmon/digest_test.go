@@ -148,3 +148,34 @@ func TestFileSpecDigestSeparatesRuns(t *testing.T) {
 		t.Errorf("different initial spec kept the same file digest %s", d5)
 	}
 }
+
+// TestFileSpecDigestPinned pins one FileSpec digest, format version
+// included: a change to the canonical form or to resultFormat must show up
+// here, deliberately.  The digest must also differ from the hash of the
+// same spec without the version, which is what keeps results cached by a
+// build of an older format unreachable.
+func TestFileSpecDigestPinned(t *testing.T) {
+	fs, err := ParseFileSpec([]byte(`{"system":{"substrate":{"topology":{"name":"mesh","rows":9,"cols":9}},"colors":5},"initial":{"config":"minimum","seed":1},"run":{"target":1,"stop_when_monochromatic":true,"detect_cycles":true}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := fs.Digest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "sha256:0d356bedf1cf5a40213130fe65b1feeeff066e6fcdbed2bbdf353a163a4041ad"
+	if got != want {
+		t.Fatalf("digest = %s, want %s", got, want)
+	}
+	system, err := fs.System.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	unversioned, err := digestOf(&FileSpec{System: *system, Initial: fs.Initial, Run: fs.Run})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unversioned == got {
+		t.Fatal("the format version does not contribute to the digest")
+	}
+}

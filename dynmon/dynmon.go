@@ -37,12 +37,12 @@
 // the intermittent-network model from the paper's conclusions.
 //
 // Every run picks a stepping tier (word-parallel bitplane, dirty frontier,
-// striped parallel, domain-decomposed sharded, or the sequential sweep
-// oracle) automatically; all tiers are bit-identical, Kernel forces one,
-// and Result.Kernel reports the tier used.  Parallel(n) runs on large
-// substrates take the sharded tier — per-worker shards stepped from
-// shard-local buffers with a per-round halo exchange — which, unlike the
-// striped sweep, actually scales with the worker count.
+// domain-decomposed sharded, or the sequential sweep oracle)
+// automatically; all tiers are bit-identical, Kernel forces one, and
+// Result.Kernel reports the tier used.  Parallel(n) runs the bitplane tier
+// does not take — time-varying and stochastic ones included — step on the
+// sharded tier: per-worker shards stepped from shard-local buffers with a
+// per-round halo exchange, which scales with the worker count.
 //
 // Observers (OnRound/OnFinish) watch a run as it evolves; the package ships
 // a history recorder, an ASCII animator and a stats collector.  Observer

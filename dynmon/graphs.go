@@ -11,7 +11,7 @@ import (
 
 // GeneralGraph is a simple undirected graph substrate.  Systems built over
 // one run on exactly the same tiered engine as the tori — dirty frontier by
-// default, striped parallel sweeps on request, pooled zero-allocation
+// default, the sharded parallel stepper on request, pooled zero-allocation
 // buffers — with only the torus-specific bitplane tier out of reach.
 type GeneralGraph = graphs.Graph
 

@@ -40,9 +40,8 @@ func TestKernelRunOption(t *testing.T) {
 }
 
 // TestSessionNormalizesParallelKernel: the batch is the session's unit of
-// parallelism, so a per-run Kernel(KernelParallel) or Kernel(KernelSharded)
-// must degrade to the sweep instead of oversubscribing the shared worker
-// pool per item.
+// parallelism, so a per-run Kernel(KernelSharded) must degrade to the sweep
+// instead of oversubscribing the shared worker pool per item.
 func TestSessionNormalizesParallelKernel(t *testing.T) {
 	sys, err := dynmon.New(dynmon.Mesh(8, 8), dynmon.Colors(4))
 	if err != nil {
@@ -50,7 +49,7 @@ func TestSessionNormalizesParallelKernel(t *testing.T) {
 	}
 	se := sys.NewSession(2)
 	initials := []*dynmon.Coloring{sys.RandomColoring(1), sys.RandomColoring(2)}
-	for _, tier := range []dynmon.KernelTier{dynmon.KernelParallel, dynmon.KernelSharded} {
+	for _, tier := range []dynmon.KernelTier{dynmon.KernelSharded} {
 		results, err := se.RunBatch(context.Background(), initials,
 			dynmon.MaxRounds(5), dynmon.Kernel(tier))
 		if err != nil {
@@ -61,6 +60,33 @@ func TestSessionNormalizesParallelKernel(t *testing.T) {
 				t.Fatalf("%v batch item %d ran on %v with %d workers, want sequential sweep", tier, i, res.Kernel, res.Workers)
 			}
 		}
+	}
+}
+
+// TestParallelKernelNameIsShardedAlias pins the wire decision behind the
+// removal of the striped tier: a spec naming the "parallel" kernel runs on
+// the sharded tier and reports "sharded", and a session batch normalizes
+// the alias to the sweep exactly like the canonical name.
+func TestParallelKernelNameIsShardedAlias(t *testing.T) {
+	sys, err := dynmon.New(dynmon.Mesh(8, 8), dynmon.Colors(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := sys.RandomColoring(1)
+	alias := dynmon.WithRunSpec(dynmon.RunSpec{MaxRounds: 5, Kernel: "parallel", Workers: 2})
+	res, err := sys.Run(context.Background(), initial, alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Kernel != dynmon.KernelSharded || res.Workers != 2 {
+		t.Fatalf("\"parallel\" ran on %v with %d workers, want sharded/2", res.Kernel, res.Workers)
+	}
+	results, err := sys.NewSession(2).RunBatch(context.Background(), []*dynmon.Coloring{initial}, alias)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results[0].Kernel != dynmon.KernelSweep || results[0].Workers != 1 {
+		t.Fatalf("\"parallel\" batch item ran on %v with %d workers, want sequential sweep", results[0].Kernel, results[0].Workers)
 	}
 }
 

@@ -143,10 +143,11 @@ type RunSpec struct {
 	// RecordHistory keeps a copy of the configuration after every round.
 	RecordHistory bool `json:"record_history,omitempty"`
 	// Kernel forces a stepping tier by name ("bitplane", "frontier",
-	// "sweep", "parallel", "sharded"); empty or "auto" keeps the automatic
-	// selection.
+	// "sweep", "sharded"; "parallel" is an alias of "sharded"); empty or
+	// "auto" keeps the automatic selection.
 	Kernel string `json:"kernel,omitempty"`
-	// Parallel enables the striped parallel stepper with Workers goroutines
+	// Parallel enables parallel stepping (the sharded tier, or the striped
+	// bitplane tier when it applies) with Workers goroutines
 	// (0 = GOMAXPROCS).
 	Parallel bool `json:"parallel,omitempty"`
 	Workers  int  `json:"workers,omitempty"`
@@ -414,10 +415,11 @@ func RecordHistory() RunOption {
 	return func(rs *RunSpec) { rs.RecordHistory = true }
 }
 
-// Parallel enables the striped parallel stepper with the given worker
-// count (0 selects GOMAXPROCS).  The effective count — capped at the vertex
-// count — is reported on Result.Workers.  Parallel and sequential runs are
-// bit-identical.
+// Parallel enables parallel stepping — the sharded tier, or the striped
+// bitplane tier when it applies — with the given worker count (0 selects
+// GOMAXPROCS).  The effective count — capped at the vertex count, and the
+// shard count actually cut on the sharded tier — is reported on
+// Result.Workers.  Parallel and sequential runs are bit-identical.
 func Parallel(workers int) RunOption {
 	return func(rs *RunSpec) { rs.Parallel, rs.Workers = true, workers }
 }
@@ -438,8 +440,9 @@ type KernelTier = sim.Kernel
 
 const (
 	// KernelAuto (the default) picks the bitplane kernel when the rule,
-	// topology and coloring qualify, the parallel sweep when Parallel is
-	// set, and the dirty frontier otherwise.
+	// topology and coloring qualify, the sharded stepper when Parallel is
+	// set, and the dirty frontier otherwise (the sequential sweep for
+	// FullSweep, time-varying and stochastic runs).
 	KernelAuto = sim.KernelAuto
 	// KernelBitplane forces the word-parallel bit-sliced stepper (runs on
 	// uint64 bit planes, 64 vertices per word operation).  Runs whose rule,
@@ -450,13 +453,13 @@ const (
 	KernelFrontier = sim.KernelFrontier
 	// KernelSweep forces the sequential full-sweep oracle stepper.
 	KernelSweep = sim.KernelSweep
-	// KernelParallel forces the striped parallel sweep.
-	KernelParallel = sim.KernelParallel
-	// KernelSharded forces the domain-decomposed stepper: the substrate is
-	// cut into per-worker shards (row-band slabs on the tori) stepped from
-	// shard-local buffers with a per-round halo exchange.  Auto-selection
-	// picks it for parallel runs on large substrates; Result.Workers
-	// reports the shard count actually used.
+	// KernelSharded forces the domain-decomposed stepper, the parallel
+	// scalar tier: the substrate is cut into per-worker shards (row-band
+	// slabs on the tori) stepped from shard-local buffers with a per-round
+	// halo exchange.  Auto-selection picks it for every parallel run the
+	// bitplane tier does not take, time-varying and stochastic ones
+	// included; Result.Workers reports the shard count actually used.  Its
+	// wire name is "sharded"; "parallel" is accepted as an alias.
 	KernelSharded = sim.KernelSharded
 )
 
@@ -467,8 +470,8 @@ var ErrBitplaneIneligible = sim.ErrBitplaneIneligible
 
 // ErrStochasticSweepOnly is the error (wrapped) returned by stochastic runs
 // (a non-synchronous Schedule or an ε-faulty Noise) that force a kernel tier
-// with no stochastic form — bitplane, frontier, sharded, or parallel for the
-// in-place sequential schedules.
+// with no stochastic form — bitplane, frontier, or sharded for the in-place
+// sequential schedules.
 var ErrStochasticSweepOnly = sim.ErrStochasticSweepOnly
 
 // Kernel forces the run's stepping tier instead of the automatic selection.

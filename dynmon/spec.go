@@ -705,18 +705,30 @@ func (fs *FileSpec) Build() (*System, *Construction, Color, error) {
 	return sys, cons, target, nil
 }
 
+// resultFormat versions the Result bytes a FileSpec digest addresses.  It
+// is mixed into every FileSpec digest and bumped whenever the same spec
+// starts producing different Result bytes, so equal digests keep meaning
+// byte-identical Results across an upgrade: results cached or persisted by
+// an older build become unreachable instead of being served stale.
+// Version 2: runs that stepped the removed striped parallel tier report the
+// sharded tier and its shard count.
+const resultFormat = 2
+
 // Digest returns a stable content address of the complete run the file
 // describes: "sha256:" plus the hex SHA-256 of the compact JSON of the
-// canonicalized system spec, the initial spec and the run spec's wire fields
-// (process-local attachments — observers, custom availability models, buffer
-// knobs — do not serialize and do not contribute).  Runs are deterministic
-// functions of exactly this triple, so equal digests imply byte-identical
-// terminal Results — the contract the dynserve result cache is built on.
+// Result format version, the canonicalized system spec, the initial spec
+// and the run spec's wire fields (process-local attachments — observers,
+// custom availability models, buffer knobs — do not serialize and do not
+// contribute).  Runs are deterministic functions of exactly this triple, so
+// equal digests imply byte-identical terminal Results — the contract the
+// dynserve result cache is built on.
 func (fs *FileSpec) Digest() (string, error) {
 	system, err := fs.System.Canonical()
 	if err != nil {
 		return "", err
 	}
-	canonical := FileSpec{System: *system, Initial: fs.Initial, Run: fs.Run.wireClone()}
-	return digestOf(&canonical)
+	return digestOf(&struct {
+		Format int `json:"format"`
+		FileSpec
+	}{resultFormat, FileSpec{System: *system, Initial: fs.Initial, Run: fs.Run.wireClone()}})
 }

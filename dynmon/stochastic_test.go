@@ -237,7 +237,7 @@ func TestStochasticKernelGatingWire(t *testing.T) {
 	if _, err := sys.Run(context.Background(), initial, UniformAsync(0.5, 1), Kernel(KernelBitplane)); !errors.Is(err, ErrStochasticSweepOnly) {
 		t.Fatalf("bitplane + uniform-async: got %v, want ErrStochasticSweepOnly", err)
 	}
-	if _, err := sys.Run(context.Background(), initial, Sequential(), Kernel(KernelParallel)); !errors.Is(err, ErrStochasticSweepOnly) {
+	if _, err := sys.Run(context.Background(), initial, Sequential(), Kernel(KernelSharded)); !errors.Is(err, ErrStochasticSweepOnly) {
 		t.Fatalf("parallel + sequential: got %v, want ErrStochasticSweepOnly", err)
 	}
 	if _, err := sys.Run(context.Background(), initial, WithSchedule(&ScheduleSpec{Mode: "no-such-mode"})); err == nil {

@@ -384,7 +384,7 @@ func TestVerifyBatchNormalizesParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	forced, err := session.VerifyBatch(context.Background(), initials, 1, Parallel(8), Kernel(KernelParallel))
+	forced, err := session.VerifyBatch(context.Background(), initials, 1, Parallel(8), Kernel(KernelSharded))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +393,7 @@ func TestVerifyBatchNormalizesParallelism(t *testing.T) {
 		if res.Workers != 1 {
 			t.Fatalf("item %d ran with %d workers inside a batch", i, res.Workers)
 		}
-		if res.Kernel == KernelParallel {
+		if res.Kernel == KernelSharded {
 			t.Fatalf("item %d kept the parallel kernel inside a batch", i)
 		}
 		streamResultsEqual(t, "verify-batch", res, plain[i].Result)

@@ -267,7 +267,16 @@ func (s *Server) runBuffered(w http.ResponseWriter, seq stepSeq, cacheable bool,
 	}
 	s.observeRunDuration(time.Since(started))
 	w.Header().Set("Content-Type", "application/json")
-	w.Write(append(resJSON, '\n'))
+	writeResult(w, resJSON)
+}
+
+// writeResult writes a buffered-JSON result body: the result bytes, then a
+// newline.  The bytes may be a cached result that concurrent requests
+// share, so the newline is written separately instead of being appended
+// into the slice's spare capacity.
+func writeResult(w http.ResponseWriter, resJSON []byte) {
+	w.Write(resJSON)
+	io.WriteString(w, "\n")
 }
 
 // runStreaming follows the stream over NDJSON or SSE.  Any error after the
@@ -326,7 +335,7 @@ func (s *Server) serveResult(w http.ResponseWriter, r *http.Request, resJSON []b
 		if cached {
 			w.Header().Set("X-Dynmond-Cache", "hit")
 		}
-		w.Write(append(resJSON, '\n'))
+		writeResult(w, resJSON)
 		return
 	}
 	writerFor(w, r).event(resultEvent(resJSON, cached))

@@ -32,8 +32,8 @@ type RunResult struct {
 }
 
 // EngineFor returns the simulation engine for the graph's current view and
-// the rule — the same tiered engine (dirty frontier, striped parallel
-// sweeps, pooled zero-allocation buffers) that steps the tori, memoized on
+// the rule — the same tiered engine (dirty frontier, the sharded parallel
+// stepper, pooled zero-allocation buffers) that steps the tori, memoized on
 // the view so repeated runs share pooled buffers and dropped graphs free
 // everything.  Callers that want non-default run options go through it
 // directly:

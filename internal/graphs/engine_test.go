@@ -108,7 +108,7 @@ func TestGraphFrontierStepDoesNotAllocate(t *testing.T) {
 
 // TestGraphRunUsesFrontierByDefault pins the automatic tier selection on
 // graph substrates: no bitplane (not a torus), frontier for sequential
-// runs, parallel for parallel ones.
+// runs, sharded for parallel ones.
 func TestGraphRunUsesFrontierByDefault(t *testing.T) {
 	g, err := NewBarabasiAlbert(200, 2, rng.New(3))
 	if err != nil {
@@ -121,7 +121,7 @@ func TestGraphRunUsesFrontierByDefault(t *testing.T) {
 	}
 	eng := g.EngineFor(GeneralizedSMP{})
 	par := eng.Run(initial, sim.Options{Parallel: true, Workers: 4})
-	if par.Kernel != sim.KernelParallel || par.Workers != 4 {
+	if par.Kernel != sim.KernelSharded || par.Workers != 4 {
 		t.Fatalf("parallel graph run reported %v/%d workers", par.Kernel, par.Workers)
 	}
 }

@@ -7,8 +7,8 @@
 // CSR view (Graph.View implements sim.Substrate), so every run — Run,
 // GreedyTargetSet, the E-series experiments and the public dynmon graph
 // systems — executes on the same tiered engine as the tori: dirty frontier
-// by default, striped parallel sweeps on request, pooled zero-allocation
-// buffers throughout.  Only the bitplane tier stays torus-only.
+// by default, the sharded parallel stepper on request, pooled
+// zero-allocation buffers throughout.  Only the bitplane tier stays torus-only.
 package graphs
 
 import (

@@ -105,21 +105,21 @@ func TestRunMatchesLegacyLoop(t *testing.T) {
 
 // TestRunKernelsAgreeOnGraphs pins the engine tiers against each other on
 // irregular substrates: frontier (the default), the full-sweep oracle and
-// the striped parallel sweep must be bit-identical.
+// the sharded stepper must be bit-identical.
 func TestRunKernelsAgreeOnGraphs(t *testing.T) {
 	for name, g := range testGraphs(t) {
 		eng := g.EngineFor(GeneralizedSMP{})
 		initial := SeedTopByDegree(g, g.N()/8+1, 1, 2)
 		front := eng.Run(initial, sim.Options{Kernel: sim.KernelFrontier})
 		sweep := eng.Run(initial, sim.Options{Kernel: sim.KernelSweep})
-		par := eng.Run(initial, sim.Options{Kernel: sim.KernelParallel, Workers: 4})
+		par := eng.Run(initial, sim.Options{Kernel: sim.KernelSharded, Workers: 4})
 		if front.Rounds != sweep.Rounds || !front.Final.Equal(sweep.Final) {
 			t.Fatalf("%s: frontier vs sweep diverged", name)
 		}
 		if par.Rounds != sweep.Rounds || !par.Final.Equal(sweep.Final) {
 			t.Fatalf("%s: parallel vs sweep diverged", name)
 		}
-		if front.Kernel != sim.KernelFrontier || par.Kernel != sim.KernelParallel {
+		if front.Kernel != sim.KernelFrontier || par.Kernel != sim.KernelSharded {
 			t.Fatalf("%s: kernels misreported (%v, %v)", name, front.Kernel, par.Kernel)
 		}
 	}

@@ -98,6 +98,15 @@ func (s *CSRShard) Uniform() int { return s.uniform }
 // MaxDegree returns the largest local row degree.
 func (s *CSRShard) MaxDegree() int { return s.maxDeg }
 
+// Global returns the global vertex id of local id v: Lo+v for an owned
+// vertex, its Halo entry for a ghost.
+func (s *CSRShard) Global(v int32) int {
+	if owned := int32(s.Hi - s.Lo); v >= owned {
+		return int(s.Halo[v-owned])
+	}
+	return s.Lo + int(v)
+}
+
 // Shards partitions the index (see Partition for k and align) and builds
 // the per-shard halo lists and local adjacency.  The result is what a
 // sharded stepper iterates: each shard's rows reference only its own local
@@ -120,6 +129,12 @@ func (c *CSR) buildShard(r ShardRange, ranges []ShardRange) *CSRShard {
 		Lo:      r.Lo,
 		Hi:      r.Hi,
 		uniform: c.uniform,
+	}
+	if r.Lo == 0 && r.Hi == c.N() {
+		// One shard owns every vertex: it has no ghosts and its local ids
+		// are the global ids, so its rows are the parent's own.
+		s.Adj, s.Off, s.maxDeg = c.Neighbors, c.Off, c.maxDeg
+		return s
 	}
 	lo32, hi32 := int32(r.Lo), int32(r.Hi)
 	row := c.Neighbors[c.Off[r.Lo]:c.Off[r.Hi]]

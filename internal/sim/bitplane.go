@@ -244,9 +244,13 @@ func (bp *Bitplane) stepStriped(st *runState, workers int) int {
 	if workers <= 1 {
 		return bp.Step()
 	}
-	st.stripeAcross(bp.words, workers, func(t *stripeTask, lo, hi int) {
-		*t = stripeTask{run: runBitSlabTask, wg: &st.wg, bp: bp, lo: lo, hi: hi}
-	})
+	chunk := (bp.words + workers - 1) / workers
+	tasks := st.stripes((bp.words + chunk - 1) / chunk)
+	for i := range tasks {
+		lo := i * chunk
+		tasks[i] = stripeTask{run: runBitSlabTask, wg: &st.wg, bp: bp, lo: lo, hi: min(lo+chunk, bp.words)}
+	}
+	runStriped(tasks, &st.wg)
 	return bp.finishStep()
 }
 

@@ -292,13 +292,13 @@ func TestResultKernelRecorded(t *testing.T) {
 		{"auto-frontier", fiveColor, Options{MaxRounds: 3}, KernelFrontier},
 		{"auto-history-frontier", twoColor, Options{MaxRounds: 3, RecordHistory: true}, KernelFrontier},
 		{"auto-sweep", fiveColor, Options{MaxRounds: 3, FullSweep: true}, KernelSweep},
-		{"auto-parallel", fiveColor, Options{MaxRounds: 3, Parallel: true, Workers: 2}, KernelParallel},
+		{"auto-parallel", fiveColor, Options{MaxRounds: 3, Parallel: true, Workers: 2}, KernelSharded},
 		{"forced-frontier", twoColor, Options{MaxRounds: 3, Kernel: KernelFrontier}, KernelFrontier},
 		{"forced-sweep", twoColor, Options{MaxRounds: 3, Kernel: KernelSweep}, KernelSweep},
-		{"forced-parallel", twoColor, Options{MaxRounds: 3, Workers: 2, Kernel: KernelParallel}, KernelParallel},
-		// A forced parallel tier reports parallel even when the effective
+		{"forced-parallel", twoColor, Options{MaxRounds: 3, Workers: 2, Kernel: KernelSharded}, KernelSharded},
+		// A forced parallel tier reports sharded even when the effective
 		// worker count degenerates to one (single-CPU machines).
-		{"forced-parallel-one-worker", twoColor, Options{MaxRounds: 3, Workers: 1, Kernel: KernelParallel}, KernelParallel},
+		{"forced-parallel-one-worker", twoColor, Options{MaxRounds: 3, Workers: 1, Kernel: KernelSharded}, KernelSharded},
 		{"forced-bitplane", twoColor, Options{MaxRounds: 3, Kernel: KernelBitplane}, KernelBitplane},
 	}
 	for _, c := range cases {

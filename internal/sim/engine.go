@@ -5,16 +5,15 @@
 // The engine follows the paper's execution model (Section III.D): the system
 // is synchronous, every vertex reads its neighbors' colors at time t and all
 // vertices apply the rule simultaneously to produce the configuration at
-// time t+1.  Five stepping tiers produce bit-identical results:
+// time t+1.  Four stepping tiers produce bit-identical results:
 //
 //   - the sequential full sweep, the oracle every other path is tested
 //     against;
-//   - the striped parallel sweep (double-buffered, one contiguous stripe per
-//     worker, executed on a persistent process-wide worker pool);
-//   - the sharded domain-decomposed stepper (see Sharded), which cuts the
-//     substrate into per-worker shards stepped from shard-local buffers
-//     with a per-round halo exchange — the tier that scales with workers
-//     on substrates too large for one cache hierarchy;
+//   - the sharded domain-decomposed stepper (see Sharded), the one parallel
+//     scalar tier: it cuts the substrate into per-worker shards stepped from
+//     shard-local buffers on a persistent process-wide worker pool, with a
+//     per-round halo exchange, and it steps time-varying and masked
+//     stochastic rounds too;
 //   - the dirty-frontier stepper (see Frontier), which re-evaluates only the
 //     vertices whose neighborhood changed in the previous round — the
 //     low-churn specialist;
@@ -37,8 +36,8 @@
 // run from the top color present (and, for noisy runs, Noise.Colors).  The
 // frontier, sharded and stochastic steppers evaluate through the table;
 // runs that do not qualify take the generic offset-framed loop.  The
-// oracle — Engine.Step, the deterministic KernelSweep and KernelParallel
-// sweeps, FullSweep, RunAsync — keeps the rules.Counts path on purpose:
+// oracle — Engine.Step, the deterministic KernelSweep sweep, sequential
+// FullSweep runs, RunAsync — keeps the rules.Counts path on purpose:
 // every differential test then compares the table against an independent
 // implementation.
 //
@@ -50,9 +49,10 @@
 // draw every random bit from counter-based hashes (internal/rng.Hash) of
 // the seed, the round and the vertex — never from stateful generators —
 // so stochastic runs are pure functions of their Options: bit-identical
-// across kernels, worker counts and checkpoint/resume.  Non-synchronous
-// schedules step on the in-place tiers; forcing the bitplane or sharded
-// kernel under one is rejected with ErrStochasticSweepOnly.
+// across kernels, worker counts and checkpoint/resume.  Stochastic runs
+// step on the sweep or the sharded tier; forcing the bitplane or frontier
+// kernel under one, or the sharded kernel under an in-place (sequential)
+// schedule, is rejected with ErrStochasticSweepOnly.
 //
 // The engine supports fixed-point and period-2-cycle detection,
 // monotonicity tracking with respect to a target color, per-vertex
@@ -92,12 +92,11 @@ type Kernel int
 const (
 	// KernelAuto lets the engine pick: the bitplane kernel when the rule,
 	// topology and coloring qualify (and the run needs no per-round scalar
-	// views), the sharded stepper for parallel runs on substrates of
-	// shardedAutoThreshold vertices or more, the striped parallel sweep for
-	// smaller parallel runs, the sequential sweep when FullSweep is set,
-	// and the dirty frontier otherwise.  Auto-selected sequential bitplane
-	// runs may additionally downshift to the frontier mid-run once the
-	// change rate gets low (recorded on Result.Downshift).
+	// views), the sharded stepper for every other parallel run, the
+	// sequential sweep when FullSweep is set or the run is time-varying or
+	// stochastic, and the dirty frontier otherwise.  Auto-selected
+	// sequential bitplane runs may additionally downshift to the frontier
+	// mid-run once the change rate gets low (recorded on Result.Downshift).
 	KernelAuto Kernel = iota
 	// KernelBitplane forces the word-parallel bit-sliced stepper.  Runs
 	// error (wrapping ErrBitplaneIneligible) when the combination does not
@@ -107,18 +106,15 @@ const (
 	KernelFrontier
 	// KernelSweep forces the sequential full-sweep oracle stepper.
 	KernelSweep
-	// KernelParallel forces the striped parallel sweep (Workers goroutines,
-	// GOMAXPROCS when unset).
-	KernelParallel
-	// KernelSharded forces the domain-decomposed sweep: the substrate is cut
-	// into contiguous degree-balanced shards (row-band slabs on the dense
-	// tori), each worker steps only its own shard out of shard-local double
-	// buffers, and a per-round halo exchange copies just the boundary cells
-	// between shards.  Workers selects the shard count exactly as on
-	// KernelParallel.  Automatic selection prefers this tier over the striped
-	// sweep on parallel runs of shardedAutoThreshold vertices or more, where
-	// the striped sweep's shared-buffer bandwidth wall makes extra workers
-	// useless.
+	// KernelSharded forces the domain-decomposed sweep, the parallel scalar
+	// tier: the substrate is cut into contiguous degree-balanced shards
+	// (row-band slabs on the dense tori), each worker steps only its own
+	// shard out of shard-local double buffers, and a per-round halo
+	// exchange copies just the boundary cells between shards.  Workers
+	// selects the shard count (GOMAXPROCS when unset, whether or not
+	// Parallel is set); Result.Workers reports the shards actually used.
+	// Its wire name is "sharded"; ParseKernel also accepts "parallel", the
+	// name of the striped tier it replaced.
 	KernelSharded
 )
 
@@ -133,8 +129,6 @@ func (k Kernel) String() string {
 		return "frontier"
 	case KernelSweep:
 		return "sweep"
-	case KernelParallel:
-		return "parallel"
 	case KernelSharded:
 		return "sharded"
 	default:
@@ -143,7 +137,9 @@ func (k Kernel) String() string {
 }
 
 // ParseKernel resolves a tier name ("auto", "bitplane", "frontier", "sweep",
-// "parallel", "sharded"; "" means auto) to its Kernel, the inverse of String.
+// "sharded"; "" means auto) to its Kernel, the inverse of String.  The name
+// "parallel" is accepted as an alias of "sharded", so specs and Results
+// written when a striped parallel tier existed still decode.
 func ParseKernel(name string) (Kernel, error) {
 	switch name {
 	case "", "auto":
@@ -154,12 +150,10 @@ func ParseKernel(name string) (Kernel, error) {
 		return KernelFrontier, nil
 	case "sweep":
 		return KernelSweep, nil
-	case "parallel":
-		return KernelParallel, nil
-	case "sharded":
+	case "sharded", "parallel":
 		return KernelSharded, nil
 	default:
-		return KernelAuto, fmt.Errorf("sim: unknown kernel %q (want auto, bitplane, frontier, sweep, parallel or sharded)", name)
+		return KernelAuto, fmt.Errorf("sim: unknown kernel %q (want auto, bitplane, frontier, sweep or sharded)", name)
 	}
 }
 
@@ -192,7 +186,7 @@ func (k *Kernel) UnmarshalJSON(b []byte) error {
 // and tables, and a default round budget.  The three tori satisfy it through
 // an internal adapter over grid.Topology (NewEngine); any other substrate —
 // internal/graphs.Graph is the shipped example — implements it directly and
-// runs through NewEngineOn, inheriting the frontier, parallel-stripe and
+// runs through NewEngineOn, inheriting the frontier, sharded and
 // pooled-buffer tiers for free.  The bitplane tier additionally requires a
 // shift-regular torus and stays behind the existing ErrBitplaneIneligible
 // probing.
@@ -248,7 +242,8 @@ type Options struct {
 	// MaxRounds bounds the number of synchronous rounds.  Zero selects
 	// DefaultMaxRounds for the topology.
 	MaxRounds int
-	// Parallel enables the striped parallel stepper.
+	// Parallel enables parallel stepping: the sharded stepper, or the
+	// bitplane tier striped across workers when that tier is chosen.
 	Parallel bool
 	// Workers is the number of goroutines used when Parallel is set; zero
 	// selects runtime.GOMAXPROCS(0).
@@ -256,7 +251,8 @@ type Options struct {
 	// FullSweep forces the sequential full-sweep oracle stepper instead of
 	// the dirty-frontier stepper.  Results are bit-identical either way; the
 	// knob exists for differential tests and for measuring the frontier's
-	// speedup.  It is ignored on the parallel path, which always sweeps.
+	// speedup.  It is ignored on the parallel path, which always sweeps
+	// (sharded).
 	FullSweep bool
 	// FreshBuffers makes the run allocate its own working buffers instead of
 	// borrowing from the engine's per-run buffer pool.  The pool is the
@@ -266,7 +262,7 @@ type Options struct {
 	FreshBuffers bool
 	// Kernel selects the stepping tier explicitly; the KernelAuto zero value
 	// keeps the automatic selection described on the constants.  A forced
-	// tier overrides Parallel and FullSweep (KernelParallel still honors
+	// tier overrides Parallel and FullSweep (KernelSharded still honors
 	// Workers).  All tiers are bit-identical; the knob exists for
 	// differential tests, benchmarks and callers that know their workload.
 	Kernel Kernel
@@ -275,8 +271,9 @@ type Options struct {
 	// Available(r, min(v,u), max(v,u)), and applies the rule to that reduced
 	// multiset when at least two neighbors are reachable (with fewer it
 	// keeps its color — an SMP-style vertex cannot form a majority from a
-	// single opinion).  Time-varying runs always use full-sweep semantics:
-	// the dirty frontier and the bitplane tier are unsound here, because a
+	// single opinion).  Time-varying runs always use full-sweep semantics
+	// (the sequential sweep, or the sharded tier on parallel runs): the
+	// dirty frontier and the bitplane tier are unsound here, because a
 	// vertex's input can change through link churn alone, without any
 	// neighbor changing color (see ErrTimeVaryingSweepOnly).  A round that
 	// changes nothing is a fixed point only when the model declares itself
@@ -287,11 +284,13 @@ type Options struct {
 	TimeVarying Availability
 	// Schedule, when non-nil with a non-synchronous Kind, replaces the
 	// synchronous update discipline (see ScheduleKind).  Stochastic runs are
-	// pinned to sweep semantics: forcing an incremental or sharded kernel
-	// errors (wrapping ErrStochasticSweepOnly), the sequential kinds
-	// additionally pin the run to one worker, and a zero-change round is a
-	// fixed point only when every vertex was guaranteed a turn (the
-	// sequential kinds, or a degenerate mask that activates everyone).
+	// pinned to sweep semantics (the sequential sweep, or the sharded tier
+	// on parallel runs): forcing an incremental kernel errors (wrapping
+	// ErrStochasticSweepOnly), the sequential kinds additionally pin the
+	// run to one worker and reject a forced sharded kernel, and a
+	// zero-change round is a fixed point only when every vertex was
+	// guaranteed a turn (the sequential kinds, or a degenerate mask that
+	// activates everyone).
 	// Combining a stochastic schedule with TimeVarying is not supported.
 	Schedule *Schedule
 	// Noise, when non-nil with Eps > 0, makes every rule application ε-faulty
@@ -323,7 +322,7 @@ type Options struct {
 //
 //   - 1 when Parallel is unset (the sequential path ignores Workers);
 //   - otherwise Workers (or runtime.GOMAXPROCS(0) when Workers <= 0),
-//     capped at n so no goroutine gets an empty stripe, with a floor of 1.
+//     capped at n so no goroutine gets an empty shard, with a floor of 1.
 //
 // Run records this value on Result.Workers so callers can see the real
 // parallelism rather than the requested one.
@@ -364,7 +363,8 @@ type Result struct {
 	// Rounds is the number of rounds executed.
 	Rounds int `json:"rounds"`
 	// Workers is the effective number of stepping goroutines used: 1 on
-	// the sequential path, Options.EffectiveWorkers on the parallel path.
+	// the sequential path, Options.EffectiveWorkers on a parallel bitplane
+	// run, and the shard count actually cut on the sharded tier.
 	Workers int `json:"workers"`
 	// Kernel is the stepping tier that executed the run (never KernelAuto).
 	// A hybrid auto run that started on the bitplane kernel and downshifted
@@ -569,7 +569,7 @@ func (e *Engine) Topology() grid.Topology { return e.topo }
 func (e *Engine) Rule() rules.Rule { return e.rule }
 
 // runState is the recycled working set of one run: the sweep path's double
-// buffers, the parallel stripe tasks with their WaitGroup and, lazily, the
+// buffers, the bitplane stripe tasks with their WaitGroup and, lazily, the
 // period-2 comparison buffer and the tier steppers (frontier, bitplane) —
 // lazy because a run uses exactly one tier and the others' O(n) bookkeeping
 // would be allocated for nothing, which FreshBuffers callers would pay on
@@ -577,10 +577,8 @@ func (e *Engine) Rule() rules.Rule { return e.rule }
 type runState struct {
 	f *Frontier
 	// cur and next are the sweep tier's double buffers, allocated lazily by
-	// buffers(): only the sweep drivers touch them, and eagerly allocating
-	// two O(n) colorings on every pool miss was the per-step bytes_per_op
-	// the parallel benchmarks showed whenever a GC cycle dropped pool
-	// entries mid-run.
+	// buffers(): only the sweep drivers touch them, so parallel and
+	// incremental runs never pay two O(n) colorings on a pool miss.
 	cur, next *color.Coloring
 	prevPrev  *color.Coloring
 	bp        *Bitplane
@@ -623,7 +621,7 @@ func (st *runState) sharded(e *Engine, workers int) *Sharded {
 }
 
 // stripes returns the pre-allocated task buffer grown to n entries; after
-// the first growth, parallel steps reuse it allocation-free.
+// the first growth, striped bitplane steps reuse it allocation-free.
 func (st *runState) stripes(n int) []stripeTask {
 	if cap(st.stripeBuf) < n {
 		st.stripeBuf = make([]stripeTask, n)
@@ -750,12 +748,21 @@ func (e *Engine) stepRangeGenericOn(fwd, off []int32, cur, next []color.Color, l
 // neighborhood is not the multiset CountRule implementations were verified
 // on.
 func (e *Engine) stepRangeTV(round int, avail Availability, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
+	return e.stepRangeTVOn(round, avail, e.whole(), cur, next, lo, hi, scratch)
+}
+
+// stepRangeTVOn is stepRangeTV over a shard's local adjacency (the sharded
+// stepper's seam): rows and cells are indexed by local ids, while
+// availability is asked about global ids (cs.Global), so a shard reads
+// exactly the links the global sweep reads.
+func (e *Engine) stepRangeTVOn(round int, avail Availability, cs *grid.CSRShard, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
 	changed := 0
-	fwd, off := e.csr.Neighbors, e.csr.Off
+	fwd, off := cs.Adj, cs.Off
 	for v := lo; v < hi; v++ {
+		gv := cs.Lo + v
 		scratch = scratch[:0]
 		for _, u := range fwd[off[v]:off[v+1]] {
-			a, b := v, int(u)
+			a, b := gv, cs.Global(u)
 			if a > b {
 				a, b = b, a
 			}

@@ -218,7 +218,7 @@ func TestLUTNoisePaletteBeyondInitialColors(t *testing.T) {
 	for _, sched := range schedules {
 		kernels := []Kernel{KernelAuto, KernelSweep}
 		if sched == nil || !sched.inPlace() {
-			kernels = append(kernels, KernelParallel)
+			kernels = append(kernels, KernelSharded)
 		}
 		for _, kernel := range kernels {
 			opt := Options{MaxRounds: 25, Target: 1, Schedule: sched, Noise: noise, Kernel: kernel, Workers: 2}

@@ -16,28 +16,6 @@ func randomColoring(seed uint64, m, n, k int) *color.Coloring {
 	return color.RandomColoring(grid.MustDims(m, n), p, func() int { return src.Intn(p.K) })
 }
 
-// The parallel stepper must be bit-identical to the sequential stepper on a
-// single round, for every topology.
-func TestParallelStepMatchesSequential(t *testing.T) {
-	for _, kind := range grid.Kinds() {
-		topo := grid.MustNew(kind, 17, 23)
-		eng := NewEngine(topo, rules.SMP{})
-		cur := randomColoring(42, 17, 23, 5)
-		seqNext := color.NewColoring(topo.Dims(), color.None)
-		parNext := color.NewColoring(topo.Dims(), color.None)
-		seqChanged := eng.stepRange(cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
-		for _, workers := range []int{2, 3, 4, 8, 64, 1000} {
-			parChanged := eng.StepParallel(cur, parNext, workers)
-			if parChanged != seqChanged {
-				t.Fatalf("%v workers=%d: changed %d vs %d", kind, workers, parChanged, seqChanged)
-			}
-			if !seqNext.Equal(parNext) {
-				t.Fatalf("%v workers=%d: parallel result differs from sequential", kind, workers)
-			}
-		}
-	}
-}
-
 // Full runs must agree between the sequential and parallel engines.
 func TestParallelRunMatchesSequential(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 20, 20)
@@ -73,41 +51,19 @@ func TestParallelRunCrossDynamo(t *testing.T) {
 	}
 }
 
+// TestParallelWithMoreWorkersThanVertices requests far more workers than
+// the 3×3 torus has rows: the run must neither panic nor deadlock, cut one
+// shard per row, and match the sequential sweep.
 func TestParallelWithMoreWorkersThanVertices(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 3, 3)
 	eng := NewEngine(topo, rules.SMP{})
-	cur := randomColoring(1, 3, 3, 3)
-	next := color.NewColoring(topo.Dims(), color.None)
-	// Must not panic or deadlock.
-	eng.StepParallel(cur, next, 64)
-	seqNext := color.NewColoring(topo.Dims(), color.None)
-	eng.stepRange(cur.Cells(), seqNext.Cells(), 0, cur.N(), nil)
-	if !next.Equal(seqNext) {
-		t.Error("oversubscribed parallel step differs from sequential")
+	init := randomColoring(1, 3, 3, 3)
+	par := eng.Run(init, Options{MaxRounds: 10, Kernel: KernelSharded, Workers: 64})
+	seq := eng.Run(init, Options{MaxRounds: 10, Kernel: KernelSweep})
+	if par.Kernel != KernelSharded || par.Workers != 3 {
+		t.Fatalf("kernel=%v workers=%d for 64 workers over 3 rows, want sharded/3", par.Kernel, par.Workers)
 	}
-}
-
-// TestParallelStepDoesNotAllocate pins the persistent-pool rewrite: after
-// the first step has grown the pooled stripe buffer and started the shared
-// workers, steady-state parallel stepping must perform zero heap
-// allocations — no per-step goroutines, closures or result slices.
-func TestParallelStepDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race detector allocates on channel/WaitGroup operations")
-	}
-	topo := grid.MustNew(grid.KindToroidalMesh, 32, 32)
-	eng := NewEngine(topo, rules.SMP{})
-	cur := randomColoring(11, 32, 32, 5)
-	next := color.NewColoring(topo.Dims(), color.None)
-	// Warm up: start the pool, grow the stripe buffer, fill the state pool.
-	eng.StepParallel(cur, next, 4)
-	allocs := testing.AllocsPerRun(100, func() {
-		eng.StepParallel(cur, next, 4)
-		cur, next = next, cur
-	})
-	if allocs != 0 {
-		t.Fatalf("parallel step allocates %.1f objects per op, want 0", allocs)
-	}
+	resultJSONEqual(t, "oversubscribed", par, seq)
 }
 
 func TestParallelPropertyEquivalence(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/color"
+	"repro/internal/grid"
 	"repro/internal/rng"
 	"repro/internal/rules"
 )
@@ -14,10 +15,10 @@ import (
 // or batch kernel.  The frontier and bitplane tiers assume a vertex can only
 // change when a neighbor changed color in the previous round; under a masked
 // schedule a skipped vertex must still be re-evaluated when its clock fires,
-// and under noise any vertex can misfire at any round.  The sharded tier
-// steps shard-local vertex ids, but schedule masks and fault draws are keyed
-// by global ids.  Stochastic runs always sweep every vertex every round (or
-// every vertex once per sweep, for the sequential schedules).
+// and under noise any vertex can misfire at any round.  The in-place
+// (sequential) schedules commit updates within a sweep, so they also reject
+// the sharded tier.  Stochastic runs always sweep every vertex every round
+// (or every vertex once per sweep, for the sequential schedules).
 var ErrStochasticSweepOnly = errors.New("sim: stochastic runs require full-sweep semantics")
 
 // ScheduleKind identifies an update discipline of the engine.
@@ -181,6 +182,15 @@ func (n Noise) validate() error {
 	return nil
 }
 
+// top is the highest color a fault can draw (the lutForCells minTop of a
+// noisy run), 0 without noise.
+func (n *Noise) top() int {
+	if n == nil {
+		return 0
+	}
+	return n.Colors
+}
+
 // stochasticParams normalizes and validates the run's Schedule and Noise
 // options.  It returns (nil, nil, nil) for a plain deterministic synchronous
 // run; otherwise sched is the normalized schedule (synchronous when only
@@ -209,25 +219,27 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 	return &sched, noise, nil
 }
 
-// stepRangeStochastic is the masked stochastic inner loop: vertex v applies
-// the rule only when the schedule activates it this round (keeping its color
-// otherwise), and the computed color passes through the ε-fault draw when
-// noise is active.  Reads come from cur, writes go to next, so stripes
-// parallelize exactly like the synchronous sweep; all randomness is
-// counter-based, making the result independent of the stripe partition.
+// stepRangeStochastic is the masked stochastic inner loop over a shard's
+// owned vertices (the whole substrate for the sequential sweep): vertex v
+// applies the rule only when the schedule activates it this round (keeping
+// its color otherwise), and the computed color passes through the ε-fault
+// draw when noise is active.  Reads come from cur, writes go to next, and
+// the mask and the draw are keyed by the global id cs.Lo+v; all randomness
+// is counter-based, so the result is independent of the shard partition.
 // t is the run's compiled rule, nil for the generic path.
-func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t *lut, cur, next []color.Color, lo, hi int, scratch []color.Color) int {
+func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t *lut, cs *grid.CSRShard, cur, next []color.Color, scratch []color.Color) int {
 	r := uint64(round)
 	changed := 0
-	for v := lo; v < hi; v++ {
+	for v := range cs.Owned() {
 		cv := cur[v]
-		if !sched.active(r, uint64(v)) {
+		g := uint64(cs.Lo + v)
+		if !sched.active(r, g) {
 			next[v] = cv
 			continue
 		}
-		nc := e.nextColor(t, cur, v, cv, &scratch)
+		nc := e.nextColor(t, cs.Adj, cs.Off, cur, v, cv, &scratch)
 		if noise != nil {
-			nc = rules.FaultDraw(noise.Seed, r, uint64(v), noise.Eps, noise.Colors, nc)
+			nc = rules.FaultDraw(noise.Seed, r, g, noise.Eps, noise.Colors, nc)
 		}
 		next[v] = nc
 		if nc != cv {
@@ -237,18 +249,18 @@ func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t
 	return changed
 }
 
-// nextColor computes one rule application at v: one load from the compiled
-// table t when the run has one, otherwise over the CSR row of v through the
-// counts fast path when the neighborhood fits a Counts vector exactly and
-// the rule's slice path when it does not.  scratch is passed by pointer so
-// growth survives for the caller's next vertex.
-func (e *Engine) nextColor(t *lut, cells []color.Color, v int, cv color.Color, scratch *[]color.Color) color.Color {
-	fwd := e.csr.Neighbors
+// nextColor computes one rule application at v over the offset-framed
+// neighbor table (fwd, off): one load from the compiled table t when the
+// run has one, otherwise over the row of v through the counts fast path
+// when the neighborhood fits a Counts vector exactly and the rule's slice
+// path when it does not.  scratch is passed by pointer so growth survives
+// for the caller's next vertex.
+func (e *Engine) nextColor(t *lut, fwd, off []int32, cells []color.Color, v int, cv color.Color, scratch *[]color.Color) color.Color {
 	if t != nil {
 		n := fwd[4*v : 4*v+4 : 4*v+4]
 		return t.at(cv, cells[n[0]], cells[n[1]], cells[n[2]], cells[n[3]])
 	}
-	row := fwd[e.csr.Off[v]:e.csr.Off[v+1]]
+	row := fwd[off[v]:off[v+1]]
 	if cr := e.countRule; cr != nil {
 		var cs rules.Counts
 		fits := true
@@ -270,27 +282,6 @@ func (e *Engine) nextColor(t *lut, cells []color.Color, v int, cv color.Color, s
 	return e.rule.Next(cv, s)
 }
 
-// stepParallelStochastic is stepRangeStochastic striped across workers,
-// bit-identical to the sequential form because schedule masks and fault
-// draws are pure functions of (round, vertex).
-func (e *Engine) stepParallelStochastic(round int, sched *Schedule, noise *Noise, t *lut, cur, next []color.Color, workers int, st *runState) int {
-	n := len(cur)
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return e.stepRangeStochastic(round, sched, noise, t, cur, next, 0, n, st.scratch)
-	}
-	done := st.stripeAcross(n, workers, func(task *stripeTask, lo, hi int) {
-		*task = stripeTask{run: runStochasticTask, wg: &st.wg, e: e, cur: cur, next: next, lo: lo, hi: hi, round: round, sched: sched, noise: noise, lut: t}
-	})
-	total := 0
-	for i := range done {
-		total += done[i].changed
-	}
-	return total
-}
-
 // stochasticDriver is the stochastic tier behind drive: masked schedules run
 // the double-buffered sweep with a per-(round, vertex) activation mask, and
 // the sequential schedules run the in-place sweep (each vertex commits
@@ -303,7 +294,6 @@ type stochasticDriver struct {
 	cur, next *color.Coloring
 	sched     Schedule
 	noise     *Noise
-	workers   int
 	// lut is the run's compiled rule, nil when the palette — the initial
 	// colors plus the fault palette of a noisy run — does not qualify.
 	lut *lut
@@ -319,15 +309,11 @@ type stochasticDriver struct {
 	seedPrev  *color.Coloring
 }
 
-func (e *Engine) newStochasticDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, rs *Resume) *stochasticDriver {
+func (e *Engine) newStochasticDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, rs *Resume) *stochasticDriver {
 	cur, next := st.buffers(e)
-	d := &stochasticDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise, workers: workers}
+	d := &stochasticDriver{e: e, st: st, cur: cur, next: next, sched: *sched, noise: noise}
 	d.cur.CopyFrom(initial)
-	faultTop := 0
-	if noise != nil {
-		faultTop = noise.Colors
-	}
-	d.lut = e.lutForCells(initial.Cells(), faultTop)
+	d.lut = e.lutForCells(initial.Cells(), noise.top())
 	if opt.DetectCycles && sched.Kind == ScheduleSequential && noise == nil {
 		if st.prevPrev == nil {
 			st.prevPrev = color.NewColoring(e.sub.Dims(), color.None)
@@ -349,14 +335,9 @@ func (d *stochasticDriver) stepRound(round int, res *Result, opt Options) int {
 	if d.sched.inPlace() {
 		return d.stepSweepInPlace(round, res, opt)
 	}
-	e, st := d.e, d.st
+	e := d.e
 	cur, next := d.cur, d.next
-	var changed int
-	if d.workers > 1 {
-		changed = e.stepParallelStochastic(round, &d.sched, d.noise, d.lut, cur.Cells(), next.Cells(), d.workers, st)
-	} else {
-		changed = e.stepRangeStochastic(round, &d.sched, d.noise, d.lut, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
-	}
+	changed := e.stepRangeStochastic(round, &d.sched, d.noise, d.lut, e.whole(), cur.Cells(), next.Cells(), d.st.scratch)
 	if opt.Target != color.None {
 		for v, n := 0, cur.N(); v < n; v++ {
 			got, had := next.At(v) == opt.Target, cur.At(v) == opt.Target
@@ -387,7 +368,7 @@ func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options)
 	changed := 0
 	step := func(v int) {
 		cv := cells[v]
-		nc := e.nextColor(d.lut, cells, v, cv, &scratch)
+		nc := e.nextColor(d.lut, e.csr.Neighbors, e.csr.Off, cells, v, cv, &scratch)
 		if d.noise != nil {
 			nc = rules.FaultDraw(d.noise.Seed, r, uint64(v), d.noise.Eps, d.noise.Colors, nc)
 		}

@@ -87,7 +87,7 @@ func TestStochasticWorkerIndependence(t *testing.T) {
 		})
 		variants := []Options{
 			{Schedule: c.sched, Noise: c.noise, MaxRounds: 40, Target: 1, Parallel: true, Workers: 4},
-			{Schedule: c.sched, Noise: c.noise, MaxRounds: 40, Target: 1, Kernel: KernelParallel, Workers: 3},
+			{Schedule: c.sched, Noise: c.noise, MaxRounds: 40, Target: 1, Kernel: KernelSharded, Workers: 3},
 			{Schedule: c.sched, Noise: c.noise, MaxRounds: 40, Target: 1, Kernel: KernelSweep},
 		}
 		for i, opt := range variants {
@@ -151,15 +151,16 @@ func TestStochasticCheckpointResume(t *testing.T) {
 	}
 }
 
-// TestStochasticKernelGating pins the sweep-only contract: incremental,
-// sharded and (for in-place schedules) striped kernels are rejected with
-// ErrStochasticSweepOnly.
+// TestStochasticKernelGating pins the sweep-only contract: incremental
+// kernels, and the sharded kernel under an in-place schedule, are rejected
+// with ErrStochasticSweepOnly, while the sharded kernel steps masked and
+// noisy runs bit-identically to the sweep.
 func TestStochasticKernelGating(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 8, 8)
 	eng := NewEngine(topo, rules.SMP{})
 	initial := randomColoring(1, 8, 8, 2)
 	sched := &Schedule{Kind: ScheduleUniformAsync, Seed: 1}
-	for _, k := range []Kernel{KernelBitplane, KernelFrontier, KernelSharded} {
+	for _, k := range []Kernel{KernelBitplane, KernelFrontier} {
 		if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: sched, Kernel: k}); !errors.Is(err, ErrStochasticSweepOnly) {
 			t.Fatalf("kernel %v with schedule: err = %v, want ErrStochasticSweepOnly", k, err)
 		}
@@ -167,7 +168,13 @@ func TestStochasticKernelGating(t *testing.T) {
 			t.Fatalf("kernel %v with noise: err = %v, want ErrStochasticSweepOnly", k, err)
 		}
 	}
-	if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: &Schedule{Kind: ScheduleSequential}, Kernel: KernelParallel}); !errors.Is(err, ErrStochasticSweepOnly) {
+	for _, opt := range []Options{{Schedule: sched}, {Noise: &Noise{Eps: 0.1, Colors: 2}}} {
+		sweep, sharded := opt, opt
+		sweep.Kernel = KernelSweep
+		sharded.Kernel, sharded.Workers = KernelSharded, 3
+		resultJSONEqual(t, "sharded stochastic", eng.Run(initial, sharded), eng.Run(initial, sweep))
+	}
+	if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: &Schedule{Kind: ScheduleSequential}, Kernel: KernelSharded}); !errors.Is(err, ErrStochasticSweepOnly) {
 		t.Fatalf("parallel sequential: err = %v, want ErrStochasticSweepOnly", err)
 	}
 	if _, err := eng.RunContext(context.Background(), initial, Options{Schedule: sched, TimeVarying: alwaysAvailable{}}); !errors.Is(err, ErrStochasticSweepOnly) {

@@ -8,16 +8,6 @@ import (
 	"repro/internal/grid"
 )
 
-// shardedAutoThreshold is the vertex count above which automatic kernel
-// selection prefers the sharded tier over the striped parallel sweep for
-// parallel runs.  Below it the whole working set fits one cache hierarchy
-// and the striped sweep's shared buffers are as good as shard-local ones;
-// above it the striped sweep is memory-bandwidth-bound on the shared
-// coloring (BENCH_baseline.json: 256×256 striped stepping is flat in the
-// worker count) while shard-local buffers keep each worker in its own
-// slice of the hierarchy.
-const shardedAutoThreshold = 1 << 17
-
 // shardState is the mutable per-shard working set of a Sharded stepper:
 // the shard's local double buffers (owned interior first, halo ghosts
 // after), the period-2 comparison buffer over the interior, and the
@@ -29,8 +19,8 @@ type shardState struct {
 	// prevPrev holds the interior two rounds back (lazily allocated when
 	// cycle detection is on), mirroring sweepDriver's period-2 trace.
 	prevPrev []color.Color
-	// scratch backs the generic inner loop's neighbor gathering on
-	// irregular substrates.
+	// scratch backs neighbor gathering in the generic, time-varying and
+	// stochastic inner loops.
 	scratch []color.Color
 
 	// Per-round outputs, written by the shard's worker, read by the
@@ -42,15 +32,18 @@ type shardState struct {
 	monoViol bool
 }
 
-// Sharded is the domain-decomposed stepper: the substrate is cut into
-// contiguous degree-balanced shards (row-band slabs on the dense tori, see
-// grid.CSR.Shards), each shard steps its interior out of shard-local
-// buffers through the compiled rule table (or the generic loop, when the
-// palette does not qualify) over the local adjacency, and a per-round halo
-// exchange copies only the boundary cells between shards.  Interior work
-// takes no locks and touches no shared mutable memory; the only cross-shard
-// traffic is the O(halo) exchange on the submitting goroutine between the
-// round barrier and the buffer swap.
+// Sharded is the domain-decomposed stepper, the engine's one parallel
+// scalar tier: the substrate is cut into contiguous degree-balanced shards
+// (row-band slabs on the dense tori, see grid.CSR.Shards), each shard steps
+// its interior out of shard-local buffers through the compiled rule table
+// (or the generic loop, when the palette does not qualify) over the local
+// adjacency, and a per-round halo exchange copies only the boundary cells
+// between shards.  Interior work takes no locks and touches no shared
+// mutable memory; the only cross-shard traffic is the O(halo) exchange on
+// the submitting goroutine between the round barrier and the buffer swap.
+// Time-varying and masked stochastic rounds step the same way, with link
+// availability, schedule masks and fault draws keyed by global vertex ids
+// (grid.CSRShard.Global).
 //
 // Results are bit-identical to the sequential sweep: local rows preserve
 // the global neighbor order, so every vertex reads exactly the multiset the
@@ -65,8 +58,16 @@ type Sharded struct {
 	// rebuild key); the actual shard count may be lower on small substrates.
 	requested int
 	// lut is the run's compiled rule, nil when the palette does not
-	// qualify (chosen by reset from the initial coloring).
+	// qualify (chosen by reset from the initial coloring and, for a noisy
+	// run, the fault palette).
 	lut *lut
+	// avail is the run's availability model, nil unless time-varying; sched
+	// is the run's normalized schedule, nil unless stochastic (noise is
+	// its active fault model, if any).  At most one of avail and sched is
+	// set.
+	avail Availability
+	sched *Schedule
+	noise *Noise
 
 	// Round-scoped parameters staged by the driver before dispatch and read
 	// by the shard workers (the task handoff orders the writes).
@@ -115,6 +116,11 @@ func (e *Engine) NewSharded(workers int) *Sharded {
 	return sh
 }
 
+// whole returns the one-shard view of the substrate: no ghosts, and local
+// ids are global ids, so the sequential sweeps step the shard-level
+// time-varying and stochastic loops over it unchanged.
+func (e *Engine) whole() *grid.CSRShard { return e.shardsFor(1)[0] }
+
 // shardsFor returns the engine's cached partitioned view of the substrate
 // for k shards, building it on first use.  Dense tori are cut on row
 // boundaries (row-band slabs: each shard's halo is exactly the row above
@@ -144,15 +150,20 @@ func (sh *Sharded) Reset(initial *color.Coloring) {
 	if initial.Dims() != sh.e.sub.Dims() {
 		panic(fmt.Sprintf("sim: Sharded.Reset dimension mismatch %v vs %v", initial.Dims(), sh.e.sub.Dims()))
 	}
-	sh.reset(initial, false, color.None, nil)
+	sh.reset(initial, Options{}, nil, nil, nil)
 }
 
-// reset is Reset plus the driver-level knobs: cycle detection (seeding the
-// period-2 buffers from prevSeed when resuming, the initial configuration
-// otherwise, exactly as sweepDriver does) and the tracked target color.
-func (sh *Sharded) reset(initial *color.Coloring, detectCycles bool, target color.Color, prevSeed *color.Coloring) {
+// reset is Reset plus the driver-level knobs: the availability model, the
+// stochastic schedule and noise, the tracked target color and cycle
+// detection (seeding the period-2 buffers from prevSeed when resuming, the
+// initial configuration otherwise, exactly as sweepDriver does).  Cycles
+// are tracked under the same gating as the sequential drivers: never on a
+// stochastic run, and on a time-varying one only under a static model.
+func (sh *Sharded) reset(initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, prevSeed *color.Coloring) {
 	cells := initial.Cells()
-	sh.lut = sh.e.lutForCells(cells, 0)
+	sh.lut = sh.e.lutForCells(cells, noise.top())
+	sh.avail, sh.sched, sh.noise = opt.TimeVarying, sched, noise
+	detectCycles := opt.DetectCycles && sched == nil && (opt.TimeVarying == nil || staticAvailability(opt.TimeVarying))
 	for i := range sh.shards {
 		s := &sh.shards[i]
 		owned := s.cs.Owned()
@@ -163,7 +174,7 @@ func (sh *Sharded) reset(initial *color.Coloring, detectCycles bool, target colo
 		s.changed, s.cycleFlag, s.monoViol = 0, false, false
 	}
 	sh.trackCycles = detectCycles
-	sh.target = target
+	sh.target = opt.Target
 	sh.firstReached = nil
 	sh.round = 0
 	sh.rounds = 0
@@ -220,17 +231,23 @@ func (sh *Sharded) Step() int {
 }
 
 // stepShard is the worker-side leaf: step shard i's interior from its
-// local cur into its local next through the compiled table (or the generic
-// offset-framed loop when the run's palette does not qualify), then the
-// per-shard slice of the target trace and the period-2 comparison, all of
-// it touching only shard-local memory (plus the disjoint FirstReached
-// range [Lo, Hi)).
+// local cur into its local next — through the time-varying or the masked
+// stochastic loop when the run has an availability model or a schedule,
+// otherwise through the compiled table (or the generic offset-framed loop
+// when the run's palette does not qualify) — then the per-shard slice of
+// the target trace and the period-2 comparison, all of it touching only
+// shard-local memory (plus the disjoint FirstReached range [Lo, Hi)).
 func (sh *Sharded) stepShard(i int) {
 	s := &sh.shards[i]
 	owned := s.cs.Owned()
-	if sh.lut != nil {
+	switch {
+	case sh.avail != nil:
+		s.changed = sh.e.stepRangeTVOn(sh.round, sh.avail, s.cs, s.cur, s.next, 0, owned, s.scratch)
+	case sh.sched != nil:
+		s.changed = sh.e.stepRangeStochastic(sh.round, sh.sched, sh.noise, sh.lut, s.cs, s.cur, s.next, s.scratch)
+	case sh.lut != nil:
 		s.changed = stepRangeLUT(sh.lut, s.cs.Adj, s.cur, s.next, 0, owned)
-	} else {
+	default:
 		s.changed = sh.e.stepRangeGenericOn(s.cs.Adj, s.cs.Off, s.cur, s.next, 0, owned, s.scratch)
 	}
 	if fr := sh.firstReached; fr != nil {
@@ -287,13 +304,13 @@ type shardedDriver struct {
 // newShardedDriver builds the sharded tier over the pooled state, seeded
 // fresh from the initial coloring or from a checkpoint (whose Config is
 // already the initial argument; its Prev seeds the period-2 trace).
-func (e *Engine) newShardedDriver(st *runState, initial *color.Coloring, opt Options, workers int, rs *Resume) *shardedDriver {
+func (e *Engine) newShardedDriver(st *runState, initial *color.Coloring, opt Options, sched *Schedule, noise *Noise, workers int, rs *Resume) *shardedDriver {
 	sh := st.sharded(e, workers)
 	var prevSeed *color.Coloring
 	if rs != nil {
 		prevSeed = rs.Prev
 	}
-	sh.reset(initial, opt.DetectCycles, opt.Target, prevSeed)
+	sh.reset(initial, opt, sched, noise, prevSeed)
 	d := &shardedDriver{sh: sh}
 	if rs != nil && rs.Prev != nil {
 		d.seedPrev = rs.Prev

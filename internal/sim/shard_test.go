@@ -4,11 +4,13 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
 	"repro/internal/color"
 	"repro/internal/grid"
+	"repro/internal/rng"
 	"repro/internal/rules"
 	"repro/internal/tvg"
 )
@@ -191,17 +193,17 @@ func TestShardedMetadata(t *testing.T) {
 	if res.Workers != 5 {
 		t.Fatalf("workers=%d for 64 requested shards over 5 rows, want 5", res.Workers)
 	}
-	// Forcing the kernel without Parallel derives workers like
-	// KernelParallel (GOMAXPROCS-bound); it must still run sharded.
+	// Forcing the kernel without Parallel derives workers from Workers
+	// (GOMAXPROCS-bound); it must still run sharded.
 	res = eng.Run(initial, Options{MaxRounds: 10, Kernel: KernelSharded})
 	if res.Kernel != KernelSharded || res.Workers < 1 {
 		t.Fatalf("kernel=%v workers=%d for forced sharded without Parallel", res.Kernel, res.Workers)
 	}
 }
 
-// TestShardedAutoSelection pins the automatic tier choice: parallel runs at
-// or above shardedAutoThreshold vertices step sharded, smaller ones keep
-// the striped parallel sweep, and FullSweep retains its oracle contract.
+// TestShardedAutoSelection pins the automatic tier choice: every parallel
+// run the bitplane tier does not take steps sharded, at any size and with
+// FullSweep set too (the sharded tier always sweeps).
 func TestShardedAutoSelection(t *testing.T) {
 	// A 5-color palette keeps the (faster, already scaling) bitplane tier
 	// out of the running, so the auto choice is between the two sweeps.
@@ -213,29 +215,191 @@ func TestShardedAutoSelection(t *testing.T) {
 		t.Fatalf("auto kernel %v above threshold, want sharded", res.Kernel)
 	}
 	res = eng.Run(initial, Options{MaxRounds: 2, Parallel: true, Workers: 4, FullSweep: true})
-	if res.Kernel != KernelParallel {
-		t.Fatalf("auto kernel %v with FullSweep, want parallel", res.Kernel)
+	if res.Kernel != KernelSharded {
+		t.Fatalf("auto kernel %v with FullSweep, want sharded", res.Kernel)
 	}
 
 	small := grid.MustNew(grid.KindToroidalMesh, 16, 16)
 	engS := NewEngine(small, rules.SMP{})
 	res = engS.Run(randomTestColoring(4, small.Dims(), 5), Options{MaxRounds: 2, Parallel: true, Workers: 4})
-	if res.Kernel != KernelParallel {
-		t.Fatalf("auto kernel %v below threshold, want parallel", res.Kernel)
+	if res.Kernel != KernelSharded {
+		t.Fatalf("auto kernel %v below threshold, want sharded", res.Kernel)
 	}
 }
 
-// TestShardedTimeVaryingRejected pins that forcing the sharded tier on a
-// time-varying run fails loudly instead of silently dropping the
-// availability mask.
-func TestShardedTimeVaryingRejected(t *testing.T) {
-	topo := grid.MustNew(grid.KindToroidalMesh, 6, 6)
-	eng := NewEngine(topo, rules.SMP{})
-	initial := randomTestColoring(5, topo.Dims(), 3)
-	opt := shardedOpts(Options{MaxRounds: 10}, 2)
-	opt.TimeVarying = tvg.Bernoulli{P: 0.5, Seed: 1}
-	if _, err := eng.RunContext(context.Background(), initial, opt); !errors.Is(err, ErrTimeVaryingSweepOnly) {
-		t.Fatalf("err = %v, want ErrTimeVaryingSweepOnly", err)
+// randomGraphSubstrate is an irregular test substrate: every vertex after
+// the first links to one to three random earlier vertices, so degrees vary
+// widely and some neighbor lists repeat a vertex.
+func randomGraphSubstrate(seed uint64, n int) *adjSubstrate {
+	src := rng.New(seed)
+	adj := make([][]int, n)
+	for v := 1; v < n; v++ {
+		for i := 0; i <= src.Intn(3); i++ {
+			u := src.Intn(v)
+			adj[v] = append(adj[v], u)
+			adj[u] = append(adj[u], v)
+		}
+	}
+	return &adjSubstrate{csr: grid.BuildCSRAdj(adj)}
+}
+
+// shardedSubstrates are the engines the sharded differential tests step:
+// the three tori under SMP (9 rows, so 7 workers cut 7 row bands) and one
+// irregular graph under the generalized rule.
+func shardedSubstrates() map[string]*Engine {
+	engines := map[string]*Engine{
+		"graph": NewEngineOn(randomGraphSubstrate(3, 60), rules.GeneralizedSMP{}),
+	}
+	for _, kind := range grid.Kinds() {
+		topo := grid.MustNew(kind, 9, 7)
+		engines[topo.Name()] = NewEngine(topo, rules.SMP{})
+	}
+	return engines
+}
+
+// shardedMatchesSweep pins opt forced onto the sharded tier, at 1, 2, 3
+// and 7 workers, byte-identical on the Result wire form (kernel and worker
+// count aside) to opt forced onto the sequential sweep — uninterrupted, and
+// resumed on the sharded tier from a mid-run checkpoint.
+func shardedMatchesSweep(t *testing.T, label string, eng *Engine, initial *color.Coloring, opt Options) {
+	t.Helper()
+	sweep := opt
+	sweep.Kernel = KernelSweep
+	oracle := eng.Run(initial, sweep)
+	if oracle.Rounds < 4 {
+		t.Fatalf("%s: run too short (%d rounds) to checkpoint mid-way", label, oracle.Rounds)
+	}
+	for _, workers := range []int{1, 2, 3, 7} {
+		sh := shardedOpts(opt, workers)
+		l := fmt.Sprintf("%s/workers=%d", label, workers)
+		got := eng.Run(initial, sh)
+		if got.Kernel != KernelSharded {
+			t.Fatalf("%s: kernel %v, want sharded", l, got.Kernel)
+		}
+		resultJSONEqual(t, l, got, oracle)
+		cp := checkpointAt(t, eng, initial, sh, oracle.Rounds/2)
+		resumed, err := eng.ResumeContext(context.Background(), cp, sh)
+		if err != nil {
+			t.Fatalf("%s: resume: %v", l, err)
+		}
+		resultJSONEqual(t, l+"/resumed", resumed, oracle)
+	}
+}
+
+// TestShardedTimeVaryingMatchesSweep pins time-varying runs on the sharded
+// tier: shards read their local adjacency but ask the availability model
+// about global ids, so every vertex sees exactly the links the sequential
+// sweep sees.  A churny model exercises the masks; a static one keeps the
+// fixed-point stop and cycle detection live.
+func TestShardedTimeVaryingMatchesSweep(t *testing.T) {
+	models := map[string]Availability{
+		"bernoulli": tvg.Bernoulli{P: 0.7, Seed: 5},
+		"always-on": tvg.AlwaysOn{},
+	}
+	for name, eng := range shardedSubstrates() {
+		initial := randomTestColoring(5, eng.Substrate().Dims(), 3)
+		for model, avail := range models {
+			opt := Options{MaxRounds: 40, Target: 1, DetectCycles: true, TimeVarying: avail}
+			shardedMatchesSweep(t, name+"/"+model, eng, initial, opt)
+		}
+	}
+}
+
+// TestShardedStochasticMatchesSweep pins masked stochastic runs on the
+// sharded tier: schedule masks and fault draws are keyed by the global id
+// Lo+v, so any shard partition reproduces the sweep's draws.  The noise
+// palette lies above every initial color, so the run's compiled table must
+// cover it; the degenerate P = 1 mask keeps the fixed-point stop live
+// while cycle detection must stay off, as on the sweep.
+func TestShardedStochasticMatchesSweep(t *testing.T) {
+	cases := map[string]Options{
+		"uniform-async":   {Schedule: &Schedule{Kind: ScheduleUniformAsync, P: 0.6, Seed: 3}},
+		"uniform-async-1": {Schedule: &Schedule{Kind: ScheduleUniformAsync, P: 1, Seed: 3}},
+		"vertex-clock":    {Schedule: &Schedule{Kind: ScheduleVertexClock, Period: 3, Seed: 3}},
+		"noise":           {Noise: &Noise{Eps: 0.05, Colors: 5, Seed: 11}},
+	}
+	for name, eng := range shardedSubstrates() {
+		initial := randomTestColoring(6, eng.Substrate().Dims(), 3)
+		for c, opt := range cases {
+			opt.MaxRounds, opt.Target, opt.DetectCycles = 30, 1, true
+			shardedMatchesSweep(t, name+"/"+c, eng, initial, opt)
+		}
+	}
+}
+
+// TestPlan pins the engine's tier choice as a table: the kernel, the
+// requested worker count and the fixed-point verdict for each combination
+// of options, and the rejections.
+func TestPlan(t *testing.T) {
+	const n = 1 << 10
+	async := &Schedule{Kind: ScheduleUniformAsync, P: 0.5}
+	full := &Schedule{Kind: ScheduleUniformAsync, P: 1}
+	seq := &Schedule{Kind: ScheduleSequential}
+	synchronous := &Schedule{}
+	noise := &Noise{Eps: 0.1, Colors: 3}
+	churn := tvg.Bernoulli{P: 0.5}
+	cases := []struct {
+		name        string
+		opt         Options
+		sched       *Schedule
+		noise       *Noise
+		resumed     bool
+		bitplaneErr error
+		kernel      Kernel
+		workers     int
+		fixedPoint  bool
+		err         error
+	}{
+		{"auto-bitplane", Options{}, nil, nil, false, nil, KernelBitplane, 1, true, nil},
+		{"auto-bitplane-parallel", Options{Parallel: true, Workers: 3}, nil, nil, false, nil, KernelBitplane, 3, true, nil},
+		{"auto-frontier", Options{}, nil, nil, false, ErrBitplaneIneligible, KernelFrontier, 1, true, nil},
+		{"auto-resumed-frontier", Options{}, nil, nil, true, nil, KernelFrontier, 1, true, nil},
+		{"auto-history-frontier", Options{RecordHistory: true}, nil, nil, false, nil, KernelFrontier, 1, true, nil},
+		{"auto-fullsweep", Options{FullSweep: true}, nil, nil, false, nil, KernelSweep, 1, true, nil},
+		{"auto-sharded", Options{Parallel: true, Workers: 3}, nil, nil, false, ErrBitplaneIneligible, KernelSharded, 3, true, nil},
+		{"auto-fullsweep-sharded", Options{Parallel: true, Workers: 3, FullSweep: true}, nil, nil, false, nil, KernelSharded, 3, true, nil},
+		{"auto-tv-sweep", Options{TimeVarying: churn}, nil, nil, false, nil, KernelSweep, 1, false, nil},
+		{"auto-tv-static", Options{TimeVarying: tvg.AlwaysOn{}}, nil, nil, false, nil, KernelSweep, 1, true, nil},
+		{"auto-tv-sharded", Options{TimeVarying: churn, Parallel: true, Workers: 2}, nil, nil, false, nil, KernelSharded, 2, false, nil},
+		{"auto-async-sweep", Options{}, async, nil, false, nil, KernelSweep, 1, false, nil},
+		{"auto-async-full-mask", Options{}, full, nil, false, nil, KernelSweep, 1, true, nil},
+		{"auto-async-sharded", Options{Parallel: true, Workers: 2}, async, nil, false, nil, KernelSharded, 2, false, nil},
+		{"auto-noise-sharded", Options{Parallel: true, Workers: 2}, synchronous, noise, false, nil, KernelSharded, 2, false, nil},
+		{"auto-sequential-pins-sweep", Options{Parallel: true, Workers: 4}, seq, nil, false, nil, KernelSweep, 1, true, nil},
+		{"forced-sweep", Options{Kernel: KernelSweep, Parallel: true, Workers: 4}, nil, nil, false, nil, KernelSweep, 1, true, nil},
+		{"forced-frontier", Options{Kernel: KernelFrontier, Parallel: true, Workers: 4}, nil, nil, false, nil, KernelFrontier, 1, true, nil},
+		{"forced-bitplane", Options{Kernel: KernelBitplane, Parallel: true, Workers: 2}, nil, nil, false, nil, KernelBitplane, 2, true, nil},
+		{"forced-sharded", Options{Kernel: KernelSharded, Workers: 5}, nil, nil, false, nil, KernelSharded, 5, true, nil},
+		{"forced-sharded-capped", Options{Kernel: KernelSharded, Workers: 2 * n}, nil, nil, false, nil, KernelSharded, n, true, nil},
+		{"forced-sharded-tv", Options{Kernel: KernelSharded, Workers: 2, TimeVarying: churn}, nil, nil, false, nil, KernelSharded, 2, false, nil},
+		{"forced-sharded-async", Options{Kernel: KernelSharded, Workers: 2}, async, nil, false, nil, KernelSharded, 2, false, nil},
+		{"reject-bitplane-ErrBitplaneIneligible", Options{Kernel: KernelBitplane}, nil, nil, false, ErrBitplaneIneligible, 0, 0, false, ErrBitplaneIneligible},
+		{"reject-bitplane-resumed", Options{Kernel: KernelBitplane}, nil, nil, true, nil, 0, 0, false, ErrBitplaneIneligible},
+		{"reject-bitplane-tv", Options{Kernel: KernelBitplane, TimeVarying: churn}, nil, nil, false, nil, 0, 0, false, ErrTimeVaryingSweepOnly},
+		{"reject-frontier-tv", Options{Kernel: KernelFrontier, TimeVarying: churn}, nil, nil, false, nil, 0, 0, false, ErrTimeVaryingSweepOnly},
+		{"reject-frontier-async", Options{Kernel: KernelFrontier}, async, nil, false, nil, 0, 0, false, ErrStochasticSweepOnly},
+		{"reject-bitplane-noise", Options{Kernel: KernelBitplane}, synchronous, noise, false, nil, 0, 0, false, ErrStochasticSweepOnly},
+		{"reject-sharded-sequential", Options{Kernel: KernelSharded}, seq, nil, false, nil, 0, 0, false, ErrStochasticSweepOnly},
+		{"reject-stochastic-tv", Options{TimeVarying: churn}, async, nil, false, nil, 0, 0, false, ErrStochasticSweepOnly},
+	}
+	for _, c := range cases {
+		kernel, workers, fixedPoint, err := plan(c.opt, c.sched, c.noise, n, c.resumed, c.bitplaneErr)
+		if c.err != nil {
+			if !errors.Is(err, c.err) {
+				t.Errorf("%s: err = %v, want %v", c.name, err, c.err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%s: unexpected error %v", c.name, err)
+			continue
+		}
+		if kernel != c.kernel || workers != c.workers || fixedPoint != c.fixedPoint {
+			t.Errorf("%s: plan = (%v, %d, %v), want (%v, %d, %v)", c.name, kernel, workers, fixedPoint, c.kernel, c.workers, c.fixedPoint)
+		}
+	}
+	if _, _, _, err := plan(Options{Kernel: Kernel(99)}, nil, nil, n, false, nil); err == nil {
+		t.Error("unknown kernel accepted")
 	}
 }
 

@@ -86,9 +86,9 @@ type Resume struct {
 
 // runDriver is one stepping tier viewed through the single round loop of
 // drive: it advances rounds, exposes the post-round configuration and the
-// stop-detector verdicts, and snapshots resumable state.  The three
-// implementations (sweep, frontier, bitplane) carry exactly the per-tier
-// bookkeeping their former standalone run loops carried.
+// stop-detector verdicts, and snapshots resumable state.  Each
+// implementation (sweep, stochastic, frontier, bitplane, sharded) carries
+// exactly its tier's per-round bookkeeping.
 type runDriver interface {
 	// stepRound applies round `round`, updating the result's target trace,
 	// and returns the number of vertices that changed color.
@@ -205,24 +205,23 @@ func initTargetTrace(res *Result, initial *color.Coloring, target color.Color) {
 	}
 }
 
-// sweepDriver is the full-sweep tier behind drive: the double-buffered loop
-// over all n vertices every round, sequentially or striped across workers,
-// including the time-varying mode (which is pinned to sweep semantics).
+// sweepDriver is the sequential full-sweep tier behind drive: the
+// double-buffered loop over all n vertices every round, including the
+// time-varying mode (which is pinned to sweep semantics).
 type sweepDriver struct {
 	e         *Engine
 	st        *runState
 	cur, next *color.Coloring
 	prevPrev  *color.Coloring
 	tv        Availability
-	workers   int
 	cycleFlag bool
 	stepped   bool
 	seedPrev  *color.Coloring
 }
 
-func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, workers int, rs *Resume) *sweepDriver {
+func (e *Engine) newSweepDriver(st *runState, initial *color.Coloring, opt Options, rs *Resume) *sweepDriver {
 	cur, next := st.buffers(e)
-	d := &sweepDriver{e: e, st: st, cur: cur, next: next, tv: opt.TimeVarying, workers: workers}
+	d := &sweepDriver{e: e, st: st, cur: cur, next: next, tv: opt.TimeVarying}
 	d.cur.CopyFrom(initial)
 	// The period-2 trace is maintained only when the verdict can ever be
 	// consulted: under a non-static availability model cycle detection is
@@ -249,14 +248,9 @@ func (d *sweepDriver) stepRound(round int, res *Result, opt Options) int {
 	e, st := d.e, d.st
 	cur, next := d.cur, d.next
 	var changed int
-	switch {
-	case d.tv != nil && d.workers > 1:
-		changed = e.stepParallelTV(round, d.tv, cur.Cells(), next.Cells(), d.workers, st)
-	case d.tv != nil:
+	if d.tv != nil {
 		changed = e.stepRangeTV(round, d.tv, cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
-	case d.workers > 1:
-		changed = e.stepParallel(cur.Cells(), next.Cells(), d.workers, st)
-	default:
+	} else {
 		changed = e.stepRange(cur.Cells(), next.Cells(), 0, cur.N(), st.scratch)
 	}
 	if opt.Target != color.None {
@@ -528,9 +522,9 @@ func drainStream(seq iter.Seq2[*Step, error]) (*Result, error) {
 }
 
 // streamRun is the generator behind Stream, StreamFrom, RunContext and
-// ResumeContext: kernel selection (identical for all four — the automatic
-// tier choice depends only on Options), driver construction, then the drive
-// loop.  Exactly one of initial and rs is non-nil.
+// ResumeContext: kernel selection (plan, identical for all four), driver
+// construction, then the drive loop.  Exactly one of initial and rs is
+// non-nil.
 func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Resume, opt Options) iter.Seq2[*Step, error] {
 	return func(yield func(*Step, error) bool) {
 		d := e.sub.Dims()
@@ -547,183 +541,39 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		if maxRounds <= 0 {
 			maxRounds = e.sub.DefaultMaxRounds()
 		}
-		workers := opt.EffectiveWorkers(d.N())
-		tv := opt.TimeVarying
-		fixedPointStops := tv == nil || staticAvailability(tv)
-
 		sched, noise, err := opt.stochasticParams()
 		if err != nil {
 			yield(nil, err)
 			return
 		}
-		stoch := sched != nil
-		if stoch {
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: stochastic schedules and noise cannot be combined with time-varying availability", ErrStochasticSweepOnly))
-				return
-			}
-			switch opt.Kernel {
-			case KernelBitplane, KernelFrontier:
-				yield(nil, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but a masked or faulty vertex must be re-evaluated regardless", ErrStochasticSweepOnly, opt.Kernel))
-				return
-			case KernelSharded:
-				yield(nil, fmt.Errorf("%w: the sharded tier steps shard-local vertex ids, but schedule masks and fault draws are keyed by global ids", ErrStochasticSweepOnly))
-				return
-			case KernelParallel:
-				if sched.inPlace() {
-					yield(nil, fmt.Errorf("%w: the %v schedule commits updates within a sweep and cannot be striped", ErrStochasticSweepOnly, sched.Kind))
-					return
-				}
-			}
-			// A zero-change round proves a fixed point only when every vertex
-			// was guaranteed a rule application that round: always true for
-			// the sequential kinds, true for the masked kinds only when the
-			// mask degenerates to everyone, and never true under noise (a
-			// fault can reignite the dynamics at any round).
-			switch {
-			case noise != nil:
-				fixedPointStops = false
-			case sched.Kind == ScheduleUniformAsync:
-				fixedPointStops = sched.P >= 1
-			case sched.Kind == ScheduleVertexClock:
-				fixedPointStops = sched.Period == 1
-			}
-		}
-
-		switch opt.Kernel {
-		case KernelBitplane, KernelFrontier:
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but link churn can change a vertex's input without any color changing", ErrTimeVaryingSweepOnly, opt.Kernel))
-				return
-			}
-		case KernelSharded:
-			if tv != nil {
-				yield(nil, fmt.Errorf("%w: the sharded tier steps shard-local neighbor ids, but availability models are keyed by global vertex ids", ErrTimeVaryingSweepOnly))
-				return
-			}
-		}
-		if rs != nil && opt.Kernel == KernelBitplane {
-			yield(nil, fmt.Errorf("%w: a checkpoint carries scalar state only; resumed runs use the scalar tiers", ErrBitplaneIneligible))
+		k, bplan, kern, bpErr := e.bitplaneCheck(initial)
+		kernel, workers, fixedPointStops, err := plan(opt, sched, noise, d.N(), rs != nil, bpErr)
+		if err != nil {
+			yield(nil, err)
 			return
 		}
 
 		st := e.getState(opt.FreshBuffers)
 		defer e.putState(st, opt.FreshBuffers)
-
-		var (
-			drv    runDriver
-			kernel Kernel
-		)
+		var drv runDriver
 		switch {
-		case !stoch:
-			// Deterministic synchronous runs: the tier switch below.
-		case sched.inPlace() || opt.Kernel == KernelSweep:
-			workers = 1
-			drv, kernel = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs), KernelSweep
-		case opt.Kernel == KernelParallel:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			drv, kernel = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs), KernelParallel
-		default: // KernelAuto, masked kinds
-			kernel = KernelSweep
-			if workers > 1 {
-				kernel = KernelParallel
-			}
-			drv = e.newStochasticDriver(st, initial, opt, sched, noise, workers, rs)
-		}
-		if drv != nil {
-			res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
-			from := 1
-			if rs != nil {
-				from = rs.Round + 1
-			}
-			e.drive(ctx, drv, res, opt, from, maxRounds, fixedPointStops, yield)
-			return
-		}
-		switch opt.Kernel {
-		case KernelBitplane:
-			k, plan, kern, err := e.bitplaneCheck(initial)
+		case kernel == KernelBitplane:
+			bd, err := e.newBitplaneDriver(st, initial, opt, workers, opt.Kernel == KernelBitplane, k, bplan, kern)
 			if err != nil {
 				yield(nil, err)
 				return
 			}
-			bd, err := e.newBitplaneDriver(st, initial, opt, workers, true, k, plan, kern)
-			if err != nil {
-				yield(nil, err)
-				return
-			}
-			drv, kernel = bd, KernelBitplane
-		case KernelFrontier:
-			drv, kernel = e.newFrontierDriver(st, initial, rs), KernelFrontier
-			workers = 1
-		case KernelSweep:
-			workers = 1
-			drv, kernel = e.newSweepDriver(st, initial, opt, workers, rs), KernelSweep
-		case KernelParallel:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			drv, kernel = e.newSweepDriver(st, initial, opt, workers, rs), KernelParallel
-		case KernelSharded:
-			if workers <= 1 {
-				par := opt
-				par.Parallel = true
-				workers = par.EffectiveWorkers(d.N())
-			}
-			sd := e.newShardedDriver(st, initial, opt, workers, rs)
-			drv, kernel, workers = sd, KernelSharded, sd.sh.Shards()
-		case KernelAuto:
-			// Automatic selection.  Time-varying runs are pinned to the
-			// full-sweep steppers (see Options.TimeVarying).  Otherwise the
-			// bitplane tier wins whenever it applies and the run does not
-			// need a scalar view of every round (observers and history would
-			// force an unpack per round, erasing its advantage); FullSweep
-			// keeps its contract as the oracle stepper.  Resumed runs skip
-			// the bitplane tier: a checkpoint carries scalar state only.
-			if tv == nil {
-				if rs == nil && !opt.FullSweep && !opt.RecordHistory && len(opt.Observers) == 0 {
-					if k, plan, kern, err := e.bitplaneCheck(initial); err == nil {
-						bd, err := e.newBitplaneDriver(st, initial, opt, workers, false, k, plan, kern)
-						if err != nil {
-							yield(nil, err)
-							return
-						}
-						drv, kernel = bd, KernelBitplane
-					}
-				}
-				if drv == nil && workers == 1 && !opt.FullSweep {
-					drv, kernel = e.newFrontierDriver(st, initial, rs), KernelFrontier
-				}
-				// Parallel runs on large substrates take the sharded tier:
-				// above the threshold the striped sweep is bandwidth-bound on
-				// its shared buffers and extra workers stop helping, while
-				// shard-local buffers restore cache locality.  FullSweep keeps
-				// its oracle contract (the striped sweep, as before).
-				if drv == nil && workers > 1 && !opt.FullSweep && d.N() >= shardedAutoThreshold {
-					sd := e.newShardedDriver(st, initial, opt, workers, rs)
-					drv, kernel, workers = sd, KernelSharded, sd.sh.Shards()
-				}
-			}
-			if drv == nil {
-				kernel = KernelSweep
-				if workers > 1 {
-					kernel = KernelParallel
-				}
-				drv = e.newSweepDriver(st, initial, opt, workers, rs)
-			}
+			drv = bd
+		case kernel == KernelFrontier:
+			drv = e.newFrontierDriver(st, initial, rs)
+		case kernel == KernelSharded:
+			sd := e.newShardedDriver(st, initial, opt, sched, noise, workers, rs)
+			drv, workers = sd, sd.sh.Shards()
+		case sched != nil:
+			drv = e.newStochasticDriver(st, initial, opt, sched, noise, rs)
 		default:
-			yield(nil, fmt.Errorf("sim: unknown kernel %v", opt.Kernel))
-			return
+			drv = e.newSweepDriver(st, initial, opt, rs)
 		}
-		if kernel == KernelFrontier {
-			workers = 1
-		}
-
 		res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
 		from := 1
 		if rs != nil {
@@ -731,6 +581,85 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		}
 		e.drive(ctx, drv, res, opt, from, maxRounds, fixedPointStops, yield)
 	}
+}
+
+// plan is the engine's tier choice, a pure function of the run's options,
+// its normalized stochastic parameters (see Options.stochasticParams), the
+// substrate's vertex count n, whether the run resumes a checkpoint, and
+// whether the bitplane tier accepts the initial coloring (bitplaneErr, nil
+// when it does).  It returns the kernel that steps the run (never
+// KernelAuto), the worker count the run asks for, and whether a round that
+// changes nothing proves a fixed point — or the error that rejects the
+// combination.
+//
+// Automatic selection takes the bitplane tier whenever it applies and the
+// run needs no scalar view of every round (observers and history would
+// force an unpack per round); resumed runs skip it, since a checkpoint
+// carries scalar state only.  Otherwise every parallel run steps sharded,
+// and sequential runs take the frontier, or the sweep when FullSweep is set
+// or the run is time-varying or stochastic.
+func plan(opt Options, sched *Schedule, noise *Noise, n int, resumed bool, bitplaneErr error) (Kernel, int, bool, error) {
+	tv := opt.TimeVarying
+	workers := opt.EffectiveWorkers(n)
+	fixedPointStops := tv == nil || staticAvailability(tv)
+	incremental := opt.Kernel == KernelBitplane || opt.Kernel == KernelFrontier
+	if sched != nil {
+		switch {
+		case tv != nil:
+			return 0, 0, false, fmt.Errorf("%w: stochastic schedules and noise cannot be combined with time-varying availability", ErrStochasticSweepOnly)
+		case incremental:
+			return 0, 0, false, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but a masked or faulty vertex must be re-evaluated regardless", ErrStochasticSweepOnly, opt.Kernel)
+		case opt.Kernel == KernelSharded && sched.inPlace():
+			return 0, 0, false, fmt.Errorf("%w: the %v schedule commits updates within a sweep and cannot be sharded", ErrStochasticSweepOnly, sched.Kind)
+		}
+		// A zero-change round proves a fixed point only when every vertex
+		// was guaranteed a rule application that round: always true for
+		// the sequential kinds, true for the masked kinds only when the
+		// mask degenerates to everyone, and never true under noise (a
+		// fault can reignite the dynamics at any round).
+		switch {
+		case noise != nil:
+			fixedPointStops = false
+		case sched.Kind == ScheduleUniformAsync:
+			fixedPointStops = sched.P >= 1
+		case sched.Kind == ScheduleVertexClock:
+			fixedPointStops = sched.Period == 1
+		}
+	}
+	if tv != nil && incremental {
+		return 0, 0, false, fmt.Errorf("%w: kernel %v re-evaluates only vertices whose neighborhood changed color, but link churn can change a vertex's input without any color changing", ErrTimeVaryingSweepOnly, opt.Kernel)
+	}
+	switch opt.Kernel {
+	case KernelBitplane:
+		if resumed {
+			return 0, 0, false, fmt.Errorf("%w: a checkpoint carries scalar state only; resumed runs use the scalar tiers", ErrBitplaneIneligible)
+		}
+		if bitplaneErr != nil {
+			return 0, 0, false, bitplaneErr
+		}
+		return KernelBitplane, workers, fixedPointStops, nil
+	case KernelFrontier:
+		return KernelFrontier, 1, fixedPointStops, nil
+	case KernelSweep:
+		return KernelSweep, 1, fixedPointStops, nil
+	case KernelSharded:
+		opt.Parallel = true
+		return KernelSharded, opt.EffectiveWorkers(n), fixedPointStops, nil
+	case KernelAuto:
+	default:
+		return 0, 0, false, fmt.Errorf("sim: unknown kernel %v", opt.Kernel)
+	}
+	switch {
+	case sched != nil && sched.inPlace():
+		return KernelSweep, 1, fixedPointStops, nil
+	case tv == nil && sched == nil && bitplaneErr == nil && !resumed && !opt.FullSweep && !opt.RecordHistory && len(opt.Observers) == 0:
+		return KernelBitplane, workers, fixedPointStops, nil
+	case workers > 1:
+		return KernelSharded, workers, fixedPointStops, nil
+	case tv == nil && sched == nil && !opt.FullSweep:
+		return KernelFrontier, 1, fixedPointStops, nil
+	}
+	return KernelSweep, 1, fixedPointStops, nil
 }
 
 // initRunResult builds the Result shell of a run — effective workers and

@@ -167,7 +167,7 @@ func checkpointAt(t *testing.T, eng *Engine, initial *coloringT, opt Options, at
 // field — rounds, per-round change counts, verdicts, final configuration,
 // first-reach trace.
 func TestResumeBitIdenticalEveryRuleTopologyKernel(t *testing.T) {
-	kernels := []Kernel{KernelAuto, KernelFrontier, KernelSweep, KernelParallel}
+	kernels := []Kernel{KernelAuto, KernelFrontier, KernelSweep, KernelSharded}
 	for _, name := range rules.RegisteredNames() {
 		rule, err := rules.ByName(name)
 		if err != nil {
