@@ -668,7 +668,9 @@ func BenchmarkRunBatchBitsliced(b *testing.B) {
 // spec in, aggregated takeover report out.  The deterministic variant's
 // replicas share one run spec and ride the bit-sliced batch tier; the noisy
 // variant derives per-replica fault streams and runs replica-at-a-time —
-// the two regimes the dynserve /v1/ensembles endpoint serves.
+// the two regimes the dynserve /v1/ensembles endpoint serves.  The
+// -workers1 variants pin the pool to one worker, so their ratio (the CI
+// noisy-over-deterministic gate) does not depend on the runner's cores.
 func BenchmarkEnsemble(b *testing.B) {
 	base := func() *dynmon.EnsembleSpec {
 		return &dynmon.EnsembleSpec{
@@ -685,9 +687,9 @@ func BenchmarkEnsemble(b *testing.B) {
 			Seed:     1,
 		}
 	}
-	run := func(b *testing.B, spec *dynmon.EnsembleSpec) {
+	run := func(b *testing.B, spec *dynmon.EnsembleSpec, workers int) {
 		b.Helper()
-		ens, err := dynmon.NewEnsemble(spec, 0)
+		ens, err := dynmon.NewEnsemble(spec, workers)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -705,12 +707,21 @@ func BenchmarkEnsemble(b *testing.B) {
 		}
 	}
 	b.Run("deterministic-64x64", func(b *testing.B) {
-		run(b, base())
+		run(b, base(), 0)
 	})
-	b.Run("noisy-64x64", func(b *testing.B) {
+	noisy := func() *dynmon.EnsembleSpec {
 		spec := base()
 		spec.Run.Noise = &dynmon.NoiseSpec{Eps: 0.02}
 		spec.TakeoverFraction = 0.75
-		run(b, spec)
+		return spec
+	}
+	b.Run("noisy-64x64", func(b *testing.B) {
+		run(b, noisy(), 0)
+	})
+	b.Run("deterministic-64x64-workers1", func(b *testing.B) {
+		run(b, base(), 1)
+	})
+	b.Run("noisy-64x64-workers1", func(b *testing.B) {
+		run(b, noisy(), 1)
 	})
 }

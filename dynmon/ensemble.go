@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -64,6 +65,16 @@ type SweepSpec struct {
 	Values []float64 `json:"values"`
 }
 
+// MaxEnsembleCells bounds the replicas × vertices of one ensemble point.
+// A point holds every replica's initial coloring, final configuration and
+// target trace at once — about 24 bytes per cell — so the bound keeps a
+// point near 800 MB.
+const MaxEnsembleCells = 1 << 25
+
+// ErrEnsembleTooLarge is the error (wrapped) returned by EnsembleSpec
+// validation when one point's replicas × vertices exceed MaxEnsembleCells.
+var ErrEnsembleTooLarge = errors.New("dynmon: ensemble point too large")
+
 // seed-derivation tags, one stream per consumer (cf. rules.FaultDraw).
 const (
 	ensTagInit uint64 = iota + 1
@@ -97,10 +108,13 @@ func (es *EnsembleSpec) Validate() error {
 	if es.Replicas < 1 {
 		return fmt.Errorf("dynmon: ensemble needs replicas >= 1, have %d", es.Replicas)
 	}
+	if n := es.System.vertices(); es.Replicas > MaxEnsembleCells/n {
+		return fmt.Errorf("%w: %d replicas of %d vertices exceed %d cells", ErrEnsembleTooLarge, es.Replicas, n, MaxEnsembleCells)
+	}
 	if es.Initial.Config == "" && es.Initial.Cells == nil {
 		return fmt.Errorf("dynmon: ensemble initial section needs a named config or explicit cells")
 	}
-	if es.TakeoverFraction < 0 || es.TakeoverFraction > 1 {
+	if !(es.TakeoverFraction >= 0 && es.TakeoverFraction <= 1) {
 		return fmt.Errorf("dynmon: takeover fraction %v outside [0, 1]", es.TakeoverFraction)
 	}
 	if es.Sweep == nil {
@@ -115,13 +129,13 @@ func (es *EnsembleSpec) Validate() error {
 			return fmt.Errorf("dynmon: the density axis sweeps the bernoulli family's seeding density; initial config is %q", es.Initial.Config)
 		}
 		for _, v := range es.Sweep.Values {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) {
 				return fmt.Errorf("dynmon: density %v outside [0, 1]", v)
 			}
 		}
 	case "eps":
 		for _, v := range es.Sweep.Values {
-			if v < 0 || v > 1 {
+			if !(v >= 0 && v <= 1) {
 				return fmt.Errorf("dynmon: eps %v outside [0, 1]", v)
 			}
 		}
@@ -130,7 +144,7 @@ func (es *EnsembleSpec) Validate() error {
 			return fmt.Errorf("dynmon: the p axis sweeps the uniform-async activation probability; schedule mode is %q", es.Run.Schedule.Mode)
 		}
 		for _, v := range es.Sweep.Values {
-			if v <= 0 || v > 1 {
+			if !(v > 0 && v <= 1) {
 				return fmt.Errorf("dynmon: activation probability %v outside (0, 1]", v)
 			}
 		}
@@ -330,23 +344,39 @@ func (e *Ensemble) Run(ctx context.Context) (*EnsembleReport, error) {
 }
 
 // runPoint executes the point's replicas and returns their results in
-// replica order.  A point whose run spec is deterministic (no schedule, no
-// noise) shares one RunSpec across replicas and goes through RunBatch —
-// the bit-sliced tier where eligible; a stochastic point derives
-// per-replica schedule/noise seeds and runs replica-at-a-time over the same
-// worker pool.
+// replica order.  The replicas' initial colorings are built on the
+// session's pool first; a failing build reports the lowest failing replica.
+// A point whose run spec is deterministic (no schedule, no noise) shares
+// one RunSpec across replicas and goes through RunBatch — the bit-sliced
+// tier where eligible; a stochastic point derives per-replica
+// schedule/noise seeds and runs replica-at-a-time over the same worker
+// pool.
 func (e *Ensemble) runPoint(ctx context.Context, se *Session, i int, ispec InitialSpec, rs RunSpec, target Color) ([]*Result, error) {
 	es := e.spec
 	sys := se.System()
 	initials := make([]*Coloring, es.Replicas)
 	specs := make([]RunSpec, es.Replicas)
-	for r := range initials {
+	buildErrs := make([]error, es.Replicas)
+	err := se.forEach(ctx, es.Replicas, func(_ context.Context, r int) error {
 		rispec, rrs := es.replicaSpec(i, r, ispec, rs)
-		cons, err := sys.BuildInitial(&rispec, target)
+		// Only the coloring: the ensemble never reads Construction.Seed.
+		cons, err := sys.buildInitial(&rispec, target)
+		if err != nil {
+			// Recorded, not returned: a returned error would stop the pool
+			// and might skip a lower replica that fails too.
+			buildErrs[r] = err
+			return nil
+		}
+		initials[r], specs[r] = cons.Coloring, rrs
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for r, err := range buildErrs {
 		if err != nil {
 			return nil, fmt.Errorf("replica %d: %w", r, err)
 		}
-		initials[r], specs[r] = cons.Coloring, rrs
 	}
 	if rs.Schedule == nil && rs.Noise == nil {
 		// Deterministic dynamics: every replica shares the base run spec, so
@@ -355,7 +385,7 @@ func (e *Ensemble) runPoint(ctx context.Context, se *Session, i int, ispec Initi
 		return se.RunBatch(ctx, initials, WithRunSpec(rs))
 	}
 	results := make([]*Result, es.Replicas)
-	err := se.forEach(ctx, es.Replicas, func(ctx context.Context, r int) error {
+	err = se.forEach(ctx, es.Replicas, func(ctx context.Context, r int) error {
 		opt, err := se.batchOptions(specs[r])
 		if err != nil {
 			return err

@@ -2,6 +2,10 @@ package dynmon
 
 import (
 	"context"
+	"errors"
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -35,18 +39,26 @@ func parseEnsembleDoc(t *testing.T) *EnsembleSpec {
 func TestParseEnsembleSpecRejects(t *testing.T) {
 	base := func() *EnsembleSpec { return parseEnsembleDoc(t) }
 	cases := map[string]func(*EnsembleSpec){
-		"no replicas":            func(es *EnsembleSpec) { es.Replicas = 0 },
-		"no initial":             func(es *EnsembleSpec) { es.Initial = InitialSpec{} },
-		"empty sweep":            func(es *EnsembleSpec) { es.Sweep.Values = nil },
-		"unknown axis":           func(es *EnsembleSpec) { es.Sweep.Axis = "voltage" },
-		"density out of range":   func(es *EnsembleSpec) { es.Sweep.Values = []float64{1.5} },
-		"density without family": func(es *EnsembleSpec) { es.Initial.Config = "random" },
-		"p on wrong schedule":    func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Run.Schedule = &ScheduleSpec{Mode: "sequential"} },
-		"p zero":                 func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{0} },
-		"fractional threshold":   func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{1.5} },
-		"threshold out of range": func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{9} },
-		"eps above one":          func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{1.01} },
-		"takeover fraction > 1":  func(es *EnsembleSpec) { es.TakeoverFraction = 1.5 },
+		"no replicas":             func(es *EnsembleSpec) { es.Replicas = 0 },
+		"no initial":              func(es *EnsembleSpec) { es.Initial = InitialSpec{} },
+		"empty sweep":             func(es *EnsembleSpec) { es.Sweep.Values = nil },
+		"unknown axis":            func(es *EnsembleSpec) { es.Sweep.Axis = "voltage" },
+		"density out of range":    func(es *EnsembleSpec) { es.Sweep.Values = []float64{1.5} },
+		"density without family":  func(es *EnsembleSpec) { es.Initial.Config = "random" },
+		"p on wrong schedule":     func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Run.Schedule = &ScheduleSpec{Mode: "sequential"} },
+		"p zero":                  func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{0} },
+		"fractional threshold":    func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{1.5} },
+		"threshold out of range":  func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{9} },
+		"eps above one":           func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{1.01} },
+		"takeover fraction > 1":   func(es *EnsembleSpec) { es.TakeoverFraction = 1.5 },
+		"takeover fraction NaN":   func(es *EnsembleSpec) { es.TakeoverFraction = math.NaN() },
+		"density NaN":             func(es *EnsembleSpec) { es.Sweep.Values = []float64{0.5, math.NaN()} },
+		"density +Inf":            func(es *EnsembleSpec) { es.Sweep.Values = []float64{math.Inf(1)} },
+		"eps NaN":                 func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{math.NaN()} },
+		"eps -Inf":                func(es *EnsembleSpec) { es.Sweep.Axis = "eps"; es.Sweep.Values = []float64{math.Inf(-1)} },
+		"p NaN":                   func(es *EnsembleSpec) { es.Sweep.Axis = "p"; es.Sweep.Values = []float64{math.NaN()} },
+		"threshold NaN":           func(es *EnsembleSpec) { es.Sweep.Axis = "threshold"; es.Sweep.Values = []float64{math.NaN()} },
+		"replicas over the bound": func(es *EnsembleSpec) { es.Replicas = MaxEnsembleCells/(12*12) + 1 },
 	}
 	for label, mutate := range cases {
 		t.Run(label, func(t *testing.T) {
@@ -62,6 +74,80 @@ func TestParseEnsembleSpecRejects(t *testing.T) {
 	}
 	if _, err := ParseEnsembleSpec([]byte(ensembleSpecDoc + "trailing")); err == nil {
 		t.Fatal("trailing data accepted")
+	}
+}
+
+// TestEnsembleReplicaBound pins MaxEnsembleCells: a point of exactly the
+// bound is accepted, one replica more is rejected with ErrEnsembleTooLarge
+// (also for graph substrates and for tori whose vertex count overflows),
+// and every committed ensemble spec is within it.
+func TestEnsembleReplicaBound(t *testing.T) {
+	es := parseEnsembleDoc(t)
+	es.System.Substrate.Topology.Rows, es.System.Substrate.Topology.Cols = 1024, 1024
+	es.Replicas = MaxEnsembleCells / (1024 * 1024)
+	if err := es.Validate(); err != nil {
+		t.Fatalf("a point of exactly MaxEnsembleCells rejected: %v", err)
+	}
+	es.Replicas++
+	if err := es.Validate(); !errors.Is(err, ErrEnsembleTooLarge) {
+		t.Fatalf("one replica over the bound: got %v, want ErrEnsembleTooLarge", err)
+	}
+	es.Replicas = 1
+	es.System.Substrate.Topology.Rows, es.System.Substrate.Topology.Cols = math.MaxInt/2, math.MaxInt/2
+	if err := es.Validate(); !errors.Is(err, ErrEnsembleTooLarge) {
+		t.Fatalf("overflowing torus: got %v, want ErrEnsembleTooLarge", err)
+	}
+	graph := parseEnsembleDoc(t)
+	graph.System.Substrate = SubstrateSpec{Generator: &GeneratorSpec{Name: "ring", N: MaxEnsembleCells/2 + 1}}
+	graph.Replicas = 2
+	if err := graph.Validate(); !errors.Is(err, ErrEnsembleTooLarge) {
+		t.Fatalf("graph point over the bound: got %v, want ErrEnsembleTooLarge", err)
+	}
+
+	paths, err := filepath.Glob("../specs/ensembles/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, path := range paths {
+		if strings.HasSuffix(path, ".report.json") {
+			continue
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ParseEnsembleSpec(data); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no committed ensemble specs found")
+	}
+}
+
+// TestEnsembleBuildErrorNamesLowestReplica: replica colorings are built on
+// the pool, yet a failing build still reports the lowest failing replica,
+// whatever the worker count.
+func TestEnsembleBuildErrorNamesLowestReplica(t *testing.T) {
+	es := parseEnsembleDoc(t)
+	es.Sweep = nil
+	es.Initial.Density = -0.5
+	for _, workers := range []int{1, 4} {
+		for trial := 0; trial < 5; trial++ {
+			e, err := NewEnsemble(es, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = e.Run(context.Background())
+			if err == nil {
+				t.Fatal("negative bernoulli density accepted")
+			}
+			if !strings.Contains(err.Error(), "point 0: replica 0:") {
+				t.Fatalf("workers %d: error %q does not name replica 0", workers, err)
+			}
+		}
 	}
 }
 
@@ -301,6 +387,9 @@ func FuzzParseEnsembleSpec(f *testing.F) {
 		}
 		if verr := es.Validate(); verr != nil {
 			t.Fatalf("ParseEnsembleSpec accepted an invalid ensemble: %v", verr)
+		}
+		if n := es.System.vertices(); n < 1 || es.Replicas > MaxEnsembleCells/n {
+			t.Fatalf("ParseEnsembleSpec accepted %d replicas of %d vertices, over MaxEnsembleCells", es.Replicas, n)
 		}
 		d1, digestErr := es.Digest()
 		wire, err := es.JSON()

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"sort"
 
@@ -154,6 +155,25 @@ func (sp *Spec) Validate() error {
 		return fmt.Errorf("dynmon: spec with %d colors (want at least 1)", sp.Colors)
 	}
 	return nil
+}
+
+// vertices returns the vertex count the substrate declares, without
+// building it (saturating at math.MaxInt for an absurd torus), or 0 for a
+// spec with no substrate.
+func (sp *Spec) vertices() int {
+	switch sub := sp.Substrate; {
+	case sub.Topology != nil:
+		rows, cols := sub.Topology.Rows, sub.Topology.Cols
+		if rows > 0 && cols > math.MaxInt/rows {
+			return math.MaxInt
+		}
+		return rows * cols
+	case sub.Generator != nil:
+		return sub.Generator.N
+	case sub.Edges != nil:
+		return sub.Edges.N
+	}
+	return 0
 }
 
 // JSON renders the spec as indented JSON with a trailing newline, the
@@ -465,6 +485,21 @@ type InitialSpec struct {
 // seeds (graph families also need a background color and use the first
 // palette color distinct from target).
 func (s *System) BuildInitial(ispec *InitialSpec, target Color) (*Construction, error) {
+	cons, err := s.buildInitial(ispec, target)
+	if err != nil {
+		return nil, err
+	}
+	if cons.Seed == nil {
+		cons.Seed = cons.Coloring.Vertices(target)
+	}
+	return cons, nil
+}
+
+// buildInitial is BuildInitial without the seed vertex list of the families
+// that realize a plain coloring (their Construction.Seed stays nil): an
+// O(n) scan and an allocation per build that the ensemble, which builds
+// one coloring per replica and never reads the list, skips.
+func (s *System) buildInitial(ispec *InitialSpec, target Color) (*Construction, error) {
 	if ispec == nil {
 		return nil, fmt.Errorf("dynmon: nil initial spec")
 	}
@@ -488,14 +523,13 @@ func (s *System) BuildInitial(ispec *InitialSpec, target Color) (*Construction, 
 }
 
 // wrapConstruction packages a plain coloring as a Construction for uniform
-// reporting.
+// reporting (BuildInitial fills in its Seed).
 func (s *System) wrapConstruction(c *Coloring, name string, target Color) *Construction {
 	return &Construction{
 		Name:     name,
 		Topology: s.topo,
 		Target:   target,
 		Palette:  s.palette,
-		Seed:     c.Vertices(target),
 		Coloring: c,
 	}
 }
@@ -543,11 +577,13 @@ func (s *System) buildTorusInitial(ispec *InitialSpec, target Color) (*Construct
 
 // bernoulliColoring seeds every vertex independently: the target color with
 // probability density, otherwise a uniform draw among the other palette
-// colors.  Draws are counter-based on (seed, vertex), so the configuration
-// is a pure function of the spec — the same on any substrate representation
-// and trivially shardable by ensembles that perturb only the seed.
+// colors.  Draws are counter-based on (seed, vertex) — the target draw is
+// rng.Hash(seed, v, 1) and the background pick rng.Hash(seed, v, 2), folded
+// from their shared (seed, v) prefix — so the configuration is a pure
+// function of the spec: the same on any substrate representation and
+// trivially shardable by ensembles that perturb only the seed.
 func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (*Coloring, error) {
-	if density < 0 || density > 1 {
+	if !(density >= 0 && density <= 1) {
 		return nil, fmt.Errorf("dynmon: bernoulli density %v outside [0, 1]", density)
 	}
 	others := s.palette.Others(target)
@@ -555,15 +591,19 @@ func (s *System) bernoulliColoring(density float64, seed uint64, target Color) (
 		return nil, fmt.Errorf("dynmon: the bernoulli config needs a palette color distinct from the target; use 2 or more colors")
 	}
 	c := s.NewColoring(others[0])
-	n := c.Dims().N()
-	for v := 0; v < n; v++ {
-		if rng.Unit(rng.Hash(seed, uint64(v), 1)) < density {
-			c.Set(v, target)
+	cells := c.Cells()
+	start := rng.HashStart(seed)
+	drawKey, pickKey := rng.HashKey(1), rng.HashKey(2)
+	threshold := rng.UnitThreshold(density)
+	for v := range cells {
+		hv := rng.HashNext(start, 0, rng.HashKey(uint64(v)))
+		if rng.HashNext(hv, 1, drawKey)>>11 < threshold {
+			cells[v] = target
 			continue
 		}
 		if len(others) > 1 {
-			pick := rng.Hash(seed, uint64(v), 2)
-			c.Set(v, others[pick%uint64(len(others))])
+			pick := rng.HashNext(hv, 1, pickKey)
+			cells[v] = others[pick%uint64(len(others))]
 		}
 	}
 	return c, nil
@@ -589,7 +629,6 @@ func (s *System) buildGraphInitial(ispec *InitialSpec, target Color) (*Construct
 			Name:     "bernoulli",
 			Target:   target,
 			Palette:  s.palette,
-			Seed:     c.Vertices(target),
 			Coloring: c,
 		}, nil
 	}
@@ -618,7 +657,6 @@ func (s *System) buildGraphInitial(ispec *InitialSpec, target Color) (*Construct
 		Name:     ispec.Config,
 		Target:   target,
 		Palette:  s.palette,
-		Seed:     c.Vertices(target),
 		Coloring: c,
 	}, nil
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -153,8 +154,10 @@ func TestBernoulliInitial(t *testing.T) {
 	if _, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: 1.5}, 1); err == nil {
 		t.Fatal("density 1.5 accepted")
 	}
-	if _, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: -0.1}, 1); err == nil {
-		t.Fatal("density -0.1 accepted")
+	for _, density := range []float64{-0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: density}, 1); err == nil {
+			t.Fatalf("density %v accepted", density)
+		}
 	}
 
 	all, err := sys.BuildInitial(&InitialSpec{Config: "bernoulli", Density: 1, Seed: 9}, 1)

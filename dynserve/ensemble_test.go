@@ -100,7 +100,8 @@ func TestEnsembleEndpoint(t *testing.T) {
 }
 
 // TestEnsembleEndpointErrors pins the failure modes: malformed or invalid
-// specs answer 400 before admission; a spec that validates but cannot build
+// specs, including a point over the replica bound, answer 400 before
+// admission; a spec that validates but cannot build
 // answers 422.
 func TestEnsembleEndpointErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
@@ -109,6 +110,9 @@ func TestEnsembleEndpointErrors(t *testing.T) {
 		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"bernoulli"},"replicas":0}`,
 		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":9,"cols":9}},"colors":2},"initial":{"config":"bernoulli"},"replicas":2,"sweep":{"axis":"voltage","values":[1]}}`,
 		testEnsembleSpec + `trailing`,
+		// 2^20 vertices × 33 replicas: over dynmon.MaxEnsembleCells, refused
+		// before anything is allocated.
+		`{"system":{"substrate":{"topology":{"name":"toroidal-mesh","rows":1024,"cols":1024}},"colors":2},"initial":{"config":"bernoulli"},"replicas":33}`,
 	} {
 		resp := postEnsemble(t, ts.URL, []byte(bad))
 		if readAll(t, resp); resp.StatusCode != http.StatusBadRequest {

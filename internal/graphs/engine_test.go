@@ -145,8 +145,8 @@ func TestGraphBitplaneIneligible(t *testing.T) {
 	}
 }
 
-// TestGraphAsyncRun exercises the asynchronous variant on an irregular
-// substrate (it shares the generic neighbor loops with the engine).
+// TestGraphAsyncRun exercises the asynchronous (sequential-schedule)
+// variant on an irregular substrate, through the generic neighbor loop.
 func TestGraphAsyncRun(t *testing.T) {
 	g, err := NewRing(12)
 	if err != nil {
@@ -154,7 +154,7 @@ func TestGraphAsyncRun(t *testing.T) {
 	}
 	initial := NewColoring(g.N(), 2)
 	initial.Set(0, 1)
-	res := g.EngineFor(GeneralizedSMP{}).RunAsync(initial, sim.AsyncOptions{})
+	res := g.EngineFor(GeneralizedSMP{}).Run(initial, sim.Options{Schedule: &sim.Schedule{Kind: sim.ScheduleSequential}})
 	if !res.FixedPoint || !res.Monochromatic || res.FinalColor != 2 {
 		t.Fatalf("async ring run should erase the dissenter, got %+v", res)
 	}

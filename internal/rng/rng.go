@@ -22,7 +22,10 @@
 //     bit-reproducible.
 package rng
 
-import "math/bits"
+import (
+	"math"
+	"math/bits"
+)
 
 // golden is the SplitMix64 default stream increment (the odd integer closest
 // to 2^64/φ), used by every Source whose gamma was never customized.
@@ -44,17 +47,53 @@ func Mix(z uint64) uint64 {
 // thread, checkpoint or lock.  Distinct tuples give statistically independent
 // values; the same seed with a different arity never collides with a prefix
 // (each position folds in its index).
+//
+// Hash is the fold of HashNext over the tuple from HashStart(seed).  Inner
+// loops that draw many tuples sharing a prefix — every vertex of one round,
+// say — run that fold themselves, once for the shared prefix and once per
+// remaining coordinate, and get exactly Hash's values.
 func Hash(seed uint64, ids ...uint64) uint64 {
-	h := Mix(seed + golden)
+	h := HashStart(seed)
 	for i, id := range ids {
-		h = Mix(h + golden*uint64(i+1) + Mix(id+golden))
+		h = HashNext(h, i, HashKey(id))
 	}
 	return h
+}
+
+// HashStart is the state of Hash before any coordinate: Hash(seed) itself.
+func HashStart(seed uint64) uint64 { return Mix(seed + golden) }
+
+// HashKey premixes one coordinate for HashNext.  A coordinate that is the
+// same for every draw of a loop (a stream tag, say) is premixed once, out
+// of the loop.
+func HashKey(id uint64) uint64 { return Mix(id + golden) }
+
+// HashNext folds the premixed coordinate key = HashKey(id) at 0-based
+// tuple position pos into the state h: Hash(seed, a, b) is
+// HashNext(HashNext(HashStart(seed), 0, HashKey(a)), 1, HashKey(b)).
+func HashNext(h uint64, pos int, key uint64) uint64 {
+	return Mix(h + golden*uint64(pos+1) + key)
 }
 
 // Unit maps a 64-bit hash to a uniform float64 in [0, 1), the stateless twin
 // of Source.Float64 (same 53-bit construction).
 func Unit(h uint64) float64 { return float64(h>>11) / (1 << 53) }
+
+// UnitThreshold is the integer form of a comparison against Unit:
+// Unit(h) < p exactly when h>>11 < UnitThreshold(p).  Both sides are exact —
+// h>>11 is below 2⁵³ and so converts to float64 exactly, and scaling p by
+// 2⁵³ is exact — so for an integer x = h>>11, x/2⁵³ < p iff x < ⌈p·2⁵³⌉.
+// A p at or below 0, or NaN, gives 0 (never below); a p at or above 1
+// gives 2⁵³ (always below).
+func UnitThreshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
 
 // Source is a deterministic SplitMix64 pseudo random number generator.
 // The zero value is a valid generator seeded with 0 on the default stream;

@@ -249,6 +249,105 @@ func TestHashPureFunction(t *testing.T) {
 	}
 }
 
+// TestHashPinned pins Hash's values (recorded before Hash was rewritten
+// over HashStart/HashNext), so every counter-based stream in the
+// repository keeps its draws.
+func TestHashPinned(t *testing.T) {
+	cases := []struct {
+		got, want uint64
+	}{
+		{Hash(0), 0xe220a8397b1dcdaf},
+		{Hash(7, 1), 0xaf9ba457354eb60a},
+		{Hash(7, 1, 2), 0x72cb34d6fcadf09f},
+		{Hash(42, 3, 5, 1), 0xeffc21444241d769},
+		{Hash(^uint64(0), 1, 2, 3, 4), 0x233bfcaaf10c0de5},
+	}
+	for i, c := range cases {
+		if c.got != c.want {
+			t.Errorf("case %d: Hash = %#x, want %#x", i, c.got, c.want)
+		}
+	}
+}
+
+// TestHashPrefixFormMatchesHash checks the hoisted fold — a shared prefix
+// folded once, the remaining coordinates folded per draw — against Hash and
+// against the fold written out literally, for random tuples of arity 1 to 4
+// split at every position.
+func TestHashPrefixFormMatchesHash(t *testing.T) {
+	literal := func(seed uint64, ids []uint64) uint64 {
+		h := Mix(seed + 0x9e3779b97f4a7c15)
+		for i, id := range ids {
+			h = Mix(h + 0x9e3779b97f4a7c15*uint64(i+1) + Mix(id+0x9e3779b97f4a7c15))
+		}
+		return h
+	}
+	src := New(2014)
+	for trial := 0; trial < 2000; trial++ {
+		seed := src.Uint64()
+		ids := make([]uint64, 1+trial%4)
+		for i := range ids {
+			// Mix small counters (rounds, vertices, tags) with full-width ids.
+			if src.Bool() {
+				ids[i] = uint64(src.Intn(1 << 12))
+			} else {
+				ids[i] = src.Uint64()
+			}
+		}
+		want := Hash(seed, ids...)
+		if lit := literal(seed, ids); lit != want {
+			t.Fatalf("Hash(%#x, %v) = %#x, literal fold %#x", seed, ids, want, lit)
+		}
+		for split := 0; split <= len(ids); split++ {
+			h := HashStart(seed)
+			for i, id := range ids[:split] {
+				h = HashNext(h, i, HashKey(id))
+			}
+			if split == len(ids) && h != want {
+				t.Fatalf("full fold of (%#x, %v) = %#x, want %#x", seed, ids, h, want)
+			}
+			for i := split; i < len(ids); i++ {
+				h = HashNext(h, i, HashKey(ids[i]))
+			}
+			if h != want {
+				t.Fatalf("fold of (%#x, %v) split at %d = %#x, want %#x", seed, ids, split, h, want)
+			}
+		}
+	}
+}
+
+// TestUnitThresholdMatchesUnit checks the integer threshold against the
+// float comparison it replaces, on the probabilities where rounding could
+// bite (the smallest normal and subnormal values, one ulp below 1, integer
+// multiples of 2⁻⁵³) and on the hash values either side of each threshold.
+func TestUnitThresholdMatchesUnit(t *testing.T) {
+	ps := []float64{
+		0, 1e-300, math.SmallestNonzeroFloat64, 0.01, 0.5, 1 - 0x1p-53, 1,
+		3 * 0x1p-53, 0x1p-20, 12345 * 0x1p-40, 1.5, -0.25,
+		math.NaN(), math.Inf(1), math.Inf(-1),
+	}
+	src := New(53)
+	for _, p := range ps {
+		th := UnitThreshold(p)
+		if th > 1<<53 {
+			t.Fatalf("UnitThreshold(%v) = %d above 2^53", p, th)
+		}
+		hs := []uint64{0, ^uint64(0), 1 << 11, (1<<53 - 1) << 11}
+		for _, x := range []uint64{th - 1, th, th + 1} {
+			if x < 1<<53 {
+				hs = append(hs, x<<11, x<<11|0x7ff)
+			}
+		}
+		for i := 0; i < 200; i++ {
+			hs = append(hs, src.Uint64())
+		}
+		for _, h := range hs {
+			if got, want := h>>11 < th, Unit(h) < p; got != want {
+				t.Fatalf("p = %v, h = %#x: threshold form %v, Unit form %v", p, h, got, want)
+			}
+		}
+	}
+}
+
 // TestHashBitBalance drives the counter-based form over a lattice of
 // (round, vertex) coordinates — exactly the schedule-mask workload — and
 // checks every output bit is balanced.

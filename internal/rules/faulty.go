@@ -20,19 +20,54 @@ const (
 // uniformly random color from the palette {1..k} instead of next.  The draw
 // is counter-based — a pure function of (seed, round, vertex) via rng.Hash —
 // so the same coordinates misfire identically under any worker count,
-// kernel tier or checkpoint/resume boundary.  It is the single shared
-// definition of the noise model: Faulty wraps it as a rule decorator and the
-// engine's stochastic driver calls it directly on top of the counts fast
-// path, so the two are identical by construction.
+// kernel tier or checkpoint/resume boundary.  It is FaultRound for a single
+// vertex; FaultRound is the one definition of the noise model, shared by
+// the Faulty rule decorator and the engine's stochastic steppers.
 func FaultDraw(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
-	if eps <= 0 || k < 1 {
+	return NewFaultRound(seed, round, eps, k).Apply(v, next)
+}
+
+// FaultRound is the ε-fault draw of one round with everything that does not
+// depend on the vertex computed once: the Hash state through (seed, round),
+// both tag keys and the integer fault threshold.  The draw for vertex v is
+// then rng.Hash(seed, round, v, faultTagDraw) — 3 Mix finalizers instead of
+// 7 — and a faulted vertex pays one more for rng.Hash(seed, round, v,
+// faultTagColor).  The zero value never faults.
+type FaultRound struct {
+	prefix             uint64
+	drawKey, colorKey  uint64
+	threshold, palette uint64
+}
+
+// NewFaultRound prepares the fault draw of one round: with probability eps
+// (non-NaN, in [0, 1]; at or below 0 never faults) a vertex's application
+// misfires to a uniform color of {1..k} (k < 1 never faults).
+func NewFaultRound(seed, round uint64, eps float64, k int) FaultRound {
+	if !(eps > 0) || k < 1 {
+		return FaultRound{}
+	}
+	return FaultRound{
+		prefix:   rng.HashNext(rng.HashStart(seed), 0, rng.HashKey(round)),
+		drawKey:  rng.HashKey(faultTagDraw),
+		colorKey: rng.HashKey(faultTagColor),
+		// A vertex misfires when rng.Unit(h) < eps, that is when
+		// h>>11 < ⌈eps·2⁵³⌉.
+		threshold: rng.UnitThreshold(eps),
+		palette:   uint64(k),
+	}
+}
+
+// Apply returns next, or a uniform palette color when vertex v misfires
+// this round.
+func (f FaultRound) Apply(v uint64, next color.Color) color.Color {
+	if f.threshold == 0 {
 		return next
 	}
-	if rng.Unit(rng.Hash(seed, round, v, faultTagDraw)) >= eps {
+	hv := rng.HashNext(f.prefix, 1, rng.HashKey(v))
+	if rng.HashNext(hv, 2, f.drawKey)>>11 >= f.threshold {
 		return next
 	}
-	pick := rng.Hash(seed, round, v, faultTagColor)
-	return color.Color(1 + pick%uint64(k))
+	return color.Color(1 + rng.HashNext(hv, 2, f.colorKey)%f.palette)
 }
 
 // Faulty is the ε-faulty decorator over a CountRule: each application of the
@@ -88,7 +123,7 @@ func (r Faulty) Validate() error {
 	if r.Inner == nil {
 		return fmt.Errorf("rules: Faulty with nil inner rule")
 	}
-	if r.Eps < 0 || r.Eps > 1 {
+	if !(r.Eps >= 0 && r.Eps <= 1) {
 		return fmt.Errorf("rules: Faulty eps %v outside [0, 1]", r.Eps)
 	}
 	if r.K < 1 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/color"
+	"repro/internal/rng"
 )
 
 func TestFaultyZeroEpsIsInner(t *testing.T) {
@@ -125,11 +126,58 @@ func TestFaultyValidate(t *testing.T) {
 		{Inner: SMP{}, Eps: -0.1, K: 4},
 		{Inner: SMP{}, Eps: 1.1, K: 4},
 		{Inner: SMP{}, Eps: 0.1, K: 0},
+		{Inner: SMP{}, Eps: math.NaN(), K: 4},
+		{Inner: SMP{}, Eps: math.Inf(1), K: 4},
+		{Inner: SMP{}, Eps: math.Inf(-1), K: 4},
 	}
 	for i, r := range bad {
 		if r.Validate() == nil {
 			t.Fatalf("case %d: Validate accepted %+v", i, r)
 		}
+	}
+}
+
+// TestFaultRoundMatchesFaultDrawReference pins the per-round draw against
+// the noise model written out from rng.Hash and rng.Unit — the form every
+// committed noisy result was produced with — at fault probabilities where
+// the integer threshold could round differently (tiny, one ulp below 1,
+// exact multiples of 2⁻⁵³), for FaultDraw and FaultRound alike.
+func TestFaultRoundMatchesFaultDrawReference(t *testing.T) {
+	reference := func(seed, round, v uint64, eps float64, k int, next color.Color) color.Color {
+		if eps <= 0 || k < 1 {
+			return next
+		}
+		if rng.Unit(rng.Hash(seed, round, v, 1)) >= eps {
+			return next
+		}
+		return color.Color(1 + rng.Hash(seed, round, v, 2)%uint64(k))
+	}
+	epss := []float64{
+		0, 1e-300, 0.01, 0.5, 1 - 0x1p-53, 1,
+		3 * 0x1p-53, 0x1p-10, 12345 * 0x1p-40, 0.375,
+	}
+	for _, eps := range epss {
+		for _, k := range []int{0, 1, 2, 5} {
+			for _, seed := range []uint64{0, 9, ^uint64(0)} {
+				for round := uint64(0); round < 6; round++ {
+					f := NewFaultRound(seed, round, eps, k)
+					for v := uint64(0); v < 300; v++ {
+						next := color.Color(1 + v%3)
+						want := reference(seed, round, v, eps, k, next)
+						if got := f.Apply(v, next); got != want {
+							t.Fatalf("eps %v k %d seed %#x round %d v %d: FaultRound %v, reference %v", eps, k, seed, round, v, got, want)
+						}
+						if got := FaultDraw(seed, round, v, eps, k, next); got != want {
+							t.Fatalf("eps %v k %d seed %#x round %d v %d: FaultDraw %v, reference %v", eps, k, seed, round, v, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+	var zero FaultRound
+	if got := zero.Apply(3, 2); got != 2 {
+		t.Fatalf("zero FaultRound faulted to %v", got)
 	}
 }
 

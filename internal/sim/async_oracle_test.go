@@ -56,9 +56,9 @@ type AsyncResult struct {
 // The sequential schedules of the tiered engine (Options.Schedule with
 // ScheduleSequential or ScheduleRandomSequential) are the integrated form of
 // this loop, with streaming, checkpoint/resume and the full stop-condition
-// set.  RunAsync is kept as the standalone differential-test oracle those
-// drivers are pinned against (TestScheduleSequentialMatchesRunAsync); new
-// code should run async dynamics through Engine.Run with a Schedule.
+// set.  RunAsync is the standalone differential-test oracle those drivers
+// are pinned against (TestScheduleSequentialMatchesRunAsync): it keeps the
+// rules.Counts path and shares no stepping code with the engine.
 func (e *Engine) RunAsync(initial *color.Coloring, opt AsyncOptions) *AsyncResult {
 	d := e.sub.Dims()
 	if initial.Dims() != d {

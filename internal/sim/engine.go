@@ -37,7 +37,7 @@
 // frontier, sharded and stochastic steppers evaluate through the table;
 // runs that do not qualify take the generic offset-framed loop.  The
 // oracle — Engine.Step, the deterministic KernelSweep sweep, sequential
-// FullSweep runs, RunAsync — keeps the rules.Counts path on purpose:
+// FullSweep runs — keeps the rules.Counts path on purpose:
 // every differential test then compares the table against an independent
 // implementation.
 //

@@ -35,10 +35,10 @@ const (
 	ScheduleUniformAsync
 	// ScheduleSequential visits every vertex once per round in raster order,
 	// committing each new color immediately so later vertices observe earlier
-	// updates — the fold-in of the former RunAsync(AsyncRaster) loop.
+	// updates.
 	ScheduleSequential
 	// ScheduleRandomSequential is ScheduleSequential with a fresh seeded
-	// permutation each round (the former RunAsync(AsyncRandom) loop).
+	// permutation each round.
 	ScheduleRandomSequential
 	// ScheduleVertexClock gives each vertex its own deterministic clock: a
 	// per-vertex period in {1..Period} and phase, both derived from Seed, and
@@ -120,7 +120,7 @@ func (s Schedule) validate() error {
 	switch s.Kind {
 	case ScheduleSynchronous, ScheduleSequential, ScheduleRandomSequential:
 	case ScheduleUniformAsync:
-		if s.P <= 0 || s.P > 1 {
+		if !(s.P > 0 && s.P <= 1) {
 			return fmt.Errorf("sim: uniform-async activation probability %v outside (0, 1]", s.P)
 		}
 	case ScheduleVertexClock:
@@ -139,18 +139,49 @@ func (s Schedule) inPlace() bool {
 	return s.Kind == ScheduleSequential || s.Kind == ScheduleRandomSequential
 }
 
-// active reports whether vertex v applies the rule in the given round under
-// a masked (non-sequential) schedule.  It is a pure function of
-// (Seed, round, v); see the Schedule documentation.
-func (s *Schedule) active(round, v uint64) bool {
+// roundMask is a masked schedule's activation test for one round, with
+// everything that does not depend on the vertex computed once: the Hash
+// state through (Seed, round) and the integer threshold for uniform-async
+// (rng.Hash(Seed, round, v) then costs 2 Mix finalizers per vertex instead
+// of 5), the Hash state through Seed for vertex-clock (rng.Hash(Seed, v),
+// 2 instead of 3).  Every other kind activates every vertex.  The mask is a pure function of (Seed, round,
+// vertex); see the Schedule documentation.
+type roundMask struct {
+	// async and clock select the test; neither means every vertex fires.
+	async, clock bool
+	prefix       uint64
+	// threshold is rng.UnitThreshold(P) for uniform-async.
+	threshold uint64
+	// period and round drive the vertex-clock phase test.
+	period, round uint64
+}
+
+// maskFor returns the schedule's activation mask for the given round.
+func (s *Schedule) maskFor(round uint64) roundMask {
 	switch s.Kind {
 	case ScheduleUniformAsync:
-		return rng.Unit(rng.Hash(s.Seed, round, v)) < s.P
+		return roundMask{
+			async:     true,
+			prefix:    rng.HashNext(rng.HashStart(s.Seed), 0, rng.HashKey(round)),
+			threshold: rng.UnitThreshold(s.P),
+		}
 	case ScheduleVertexClock:
-		h := rng.Hash(s.Seed, v)
-		period := 1 + h%uint64(s.Period)
+		return roundMask{clock: true, prefix: rng.HashStart(s.Seed), period: uint64(s.Period), round: round}
+	default:
+		return roundMask{}
+	}
+}
+
+// active reports whether global vertex v applies the rule this round.
+func (m *roundMask) active(v uint64) bool {
+	switch {
+	case m.async:
+		return rng.HashNext(m.prefix, 1, rng.HashKey(v))>>11 < m.threshold
+	case m.clock:
+		h := rng.HashNext(m.prefix, 0, rng.HashKey(v))
+		period := 1 + h%m.period
 		phase := (h >> 32) % period
-		return round%period == phase
+		return m.round%period == phase
 	default:
 		return true
 	}
@@ -173,7 +204,7 @@ type Noise struct {
 
 // validate checks an active noise model.
 func (n Noise) validate() error {
-	if n.Eps < 0 || n.Eps > 1 {
+	if !(n.Eps >= 0 && n.Eps <= 1) {
 		return fmt.Errorf("sim: noise eps %v outside [0, 1]", n.Eps)
 	}
 	if n.Eps > 0 && n.Colors < 1 {
@@ -227,26 +258,54 @@ func (o Options) stochasticParams() (*Schedule, *Noise, error) {
 // the mask and the draw are keyed by the global id cs.Lo+v; all randomness
 // is counter-based, so the result is independent of the shard partition.
 // t is the run's compiled rule, nil for the generic path.
-func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t *lut, cs *grid.CSRShard, cur, next []color.Color, scratch []color.Color) int {
+//
+// The loop also keeps the target trace: fr, when non-nil, is the run's
+// global FirstReached slice for the target color, and only vertices that
+// changed can move it (one that turns target is stamped with the round, one
+// that leaves target is a monotonicity violation, reported by the second
+// result).  An unchanged vertex that holds the target already carries its
+// stamp from the round it turned, so no other vertex needs a look.
+func (e *Engine) stepRangeStochastic(round int, sched *Schedule, noise *Noise, t *lut, cs *grid.CSRShard, cur, next, scratch []color.Color, target color.Color, fr []int) (changed int, monoViol bool) {
 	r := uint64(round)
-	changed := 0
+	mask := sched.maskFor(r)
+	masked := mask.async || mask.clock
+	var faults rules.FaultRound
+	if noise != nil {
+		faults = rules.NewFaultRound(noise.Seed, r, noise.Eps, noise.Colors)
+	}
+	fwd, lo := cs.Adj, cs.Lo
 	for v := range cs.Owned() {
 		cv := cur[v]
-		g := uint64(cs.Lo + v)
-		if !sched.active(r, g) {
+		g := uint64(lo + v)
+		if masked && !mask.active(g) {
 			next[v] = cv
 			continue
 		}
-		nc := e.nextColor(t, cs.Adj, cs.Off, cur, v, cv, &scratch)
+		var nc color.Color
+		if t != nil {
+			n := fwd[4*v : 4*v+4 : 4*v+4]
+			nc = t.at(cv, cur[n[0]], cur[n[1]], cur[n[2]], cur[n[3]])
+		} else {
+			nc = e.nextColor(nil, fwd, cs.Off, cur, v, cv, &scratch)
+		}
 		if noise != nil {
-			nc = rules.FaultDraw(noise.Seed, r, g, noise.Eps, noise.Colors, nc)
+			nc = faults.Apply(g, nc)
 		}
 		next[v] = nc
-		if nc != cv {
-			changed++
+		if nc == cv {
+			continue
+		}
+		changed++
+		if fr != nil {
+			if cv == target {
+				monoViol = true
+			}
+			if nc == target && fr[lo+v] < 0 {
+				fr[lo+v] = round
+			}
 		}
 	}
-	return changed
+	return changed, monoViol
 }
 
 // nextColor computes one rule application at v over the offset-framed
@@ -335,19 +394,10 @@ func (d *stochasticDriver) stepRound(round int, res *Result, opt Options) int {
 	if d.sched.inPlace() {
 		return d.stepSweepInPlace(round, res, opt)
 	}
-	e := d.e
 	cur, next := d.cur, d.next
-	changed := e.stepRangeStochastic(round, &d.sched, d.noise, d.lut, e.whole(), cur.Cells(), next.Cells(), d.st.scratch)
-	if opt.Target != color.None {
-		for v, n := 0, cur.N(); v < n; v++ {
-			got, had := next.At(v) == opt.Target, cur.At(v) == opt.Target
-			if had && !got {
-				res.MonotoneTarget = false
-			}
-			if got && res.FirstReached[v] < 0 {
-				res.FirstReached[v] = round
-			}
-		}
+	changed, monoViol := d.e.stepRangeStochastic(round, &d.sched, d.noise, d.lut, d.e.whole(), cur.Cells(), next.Cells(), d.st.scratch, opt.Target, res.FirstReached)
+	if monoViol {
+		res.MonotoneTarget = false
 	}
 	d.cur, d.next = next, cur
 	d.stepped = true
@@ -365,12 +415,16 @@ func (d *stochasticDriver) stepSweepInPlace(round int, res *Result, opt Options)
 	d.next.CopyFrom(d.cur)
 	scratch := d.st.scratch
 	r := uint64(round)
+	var faults rules.FaultRound
+	if d.noise != nil {
+		faults = rules.NewFaultRound(d.noise.Seed, r, d.noise.Eps, d.noise.Colors)
+	}
 	changed := 0
 	step := func(v int) {
 		cv := cells[v]
 		nc := e.nextColor(d.lut, e.csr.Neighbors, e.csr.Off, cells, v, cv, &scratch)
 		if d.noise != nil {
-			nc = rules.FaultDraw(d.noise.Seed, r, uint64(v), d.noise.Eps, d.noise.Colors, nc)
+			nc = faults.Apply(uint64(v), nc)
 		}
 		if nc == cv {
 			return

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"testing"
 
@@ -200,6 +201,13 @@ func TestStochasticParamValidation(t *testing.T) {
 		{Noise: &Noise{Eps: 1.5, Colors: 2}},
 		{Noise: &Noise{Eps: -0.5, Colors: 2}},
 		{Noise: &Noise{Eps: 0.5, Colors: 0}},
+		// NaN fails every ordered comparison, so a range check written as
+		// "x < lo || x > hi" lets it through; ±Inf are out of range.
+		{Schedule: &Schedule{Kind: ScheduleUniformAsync, P: math.NaN()}},
+		{Schedule: &Schedule{Kind: ScheduleUniformAsync, P: math.Inf(1)}},
+		{Noise: &Noise{Eps: math.NaN(), Colors: 2}},
+		{Noise: &Noise{Eps: math.Inf(1), Colors: 2}},
+		{Noise: &Noise{Eps: math.Inf(-1), Colors: 2}},
 	}
 	for i, opt := range bad {
 		if _, err := eng.RunContext(context.Background(), initial, opt); err == nil {
@@ -263,7 +271,7 @@ func TestVertexClockPeriodsCoverRange(t *testing.T) {
 	for v := uint64(0); v < 256; v++ {
 		fires := []uint64{}
 		for round := uint64(1); round <= 24; round++ {
-			if s.active(round, v) {
+			if mask := s.maskFor(round); mask.active(v) {
 				fires = append(fires, round)
 			}
 		}

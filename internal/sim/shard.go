@@ -236,7 +236,9 @@ func (sh *Sharded) Step() int {
 // otherwise through the compiled table (or the generic offset-framed loop
 // when the run's palette does not qualify) — then the per-shard slice of
 // the target trace and the period-2 comparison, all of it touching only
-// shard-local memory (plus the disjoint FirstReached range [Lo, Hi)).
+// shard-local memory (plus the disjoint FirstReached range [Lo, Hi)).  The
+// stochastic loop keeps the target trace itself, on the vertices that
+// changed, and stochastic runs never track cycles.
 func (sh *Sharded) stepShard(i int) {
 	s := &sh.shards[i]
 	owned := s.cs.Owned()
@@ -244,7 +246,10 @@ func (sh *Sharded) stepShard(i int) {
 	case sh.avail != nil:
 		s.changed = sh.e.stepRangeTVOn(sh.round, sh.avail, s.cs, s.cur, s.next, 0, owned, s.scratch)
 	case sh.sched != nil:
-		s.changed = sh.e.stepRangeStochastic(sh.round, sh.sched, sh.noise, sh.lut, s.cs, s.cur, s.next, s.scratch)
+		var viol bool
+		s.changed, viol = sh.e.stepRangeStochastic(sh.round, sh.sched, sh.noise, sh.lut, s.cs, s.cur, s.next, s.scratch, sh.target, sh.firstReached)
+		s.monoViol = s.monoViol || viol
+		return
 	case sh.lut != nil:
 		s.changed = stepRangeLUT(sh.lut, s.cs.Adj, s.cur, s.next, 0, owned)
 	default:
