@@ -145,3 +145,72 @@ func resultsEqualJSON(t *testing.T, a, b *Result) bool {
 	}
 	return string(aj) == string(bj)
 }
+
+// TestCheckpointEveryCadenceBitplane is the cadence contract on runs that
+// start on the bitplane tier (k = 3): every checkpoint resumes on a scalar
+// tier, yet must return the uninterrupted run's Result bytes, tier report
+// included.  The random coloring oscillates above the downshift threshold,
+// so its sequential run stays on the bitplane tier to the round budget; the
+// bernoulli coloring's sequential run hands over to the frontier at round
+// 13, between checkpoints; with Parallel(2) no run downshifts and the
+// Result reports the worker count.
+func TestCheckpointEveryCadenceBitplane(t *testing.T) {
+	sys, err := New(Mesh(32, 32), Colors(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name      string
+		initial   InitialSpec
+		opts      []RunOption
+		downshift int
+	}{
+		{"random/sequential", InitialSpec{Config: "random", Seed: 3}, nil, 0},
+		{"random/parallel2", InitialSpec{Config: "random", Seed: 3}, []RunOption{Parallel(2)}, 0},
+		{"bernoulli/sequential", InitialSpec{Config: "bernoulli", Seed: 3, Density: 0.45}, nil, 13},
+		{"bernoulli/parallel2", InitialSpec{Config: "bernoulli", Seed: 3, Density: 0.45}, []RunOption{Parallel(2)}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cons, err := sys.BuildInitial(&tc.initial, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := append([]RunOption{MaxRounds(40), Target(1)}, tc.opts...)
+			want, err := sys.Run(ctx, cons.Coloring, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Kernel != KernelBitplane || want.Downshift != tc.downshift {
+				t.Fatalf("uninterrupted run: kernel %v downshift %d, want bitplane %d", want.Kernel, want.Downshift, tc.downshift)
+			}
+			var cps []*Checkpoint
+			if _, err := sys.Run(ctx, cons.Coloring, append(opts,
+				CheckpointEvery(5, func(cp *Checkpoint) error { cps = append(cps, cp); return nil }))...); err != nil {
+				t.Fatal(err)
+			}
+			if len(cps) != 7 {
+				t.Fatalf("%d checkpoints fired, want 7", len(cps))
+			}
+			for _, cp := range cps {
+				// Round-trip through the wire form, as dynserve does.
+				raw, err := cp.JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				parsed, err := ParseCheckpoint(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := sys.Resume(ctx, parsed)
+				if err != nil {
+					t.Fatalf("resume from round %d: %v", cp.Round, err)
+				}
+				if !resultsEqualJSON(t, res, want) {
+					t.Fatalf("resume from round %d: kernel %v workers %d downshift %d, want %v %d %d",
+						cp.Round, res.Kernel, res.Workers, res.Downshift, want.Kernel, want.Workers, want.Downshift)
+				}
+			}
+		})
+	}
+}

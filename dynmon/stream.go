@@ -142,6 +142,13 @@ type Checkpoint struct {
 	ChangesPerRound []int `json:"changes_per_round"`
 	FirstReached    []int `json:"first_reached,omitempty"`
 	MonotoneTarget  bool  `json:"monotone_target,omitempty"`
+	// Kernel, Workers and Downshift carry the run's tier report up to
+	// Round (see Result).  A run that started on the bitplane tier resumes
+	// on a scalar tier but reports these, so its Result bytes equal the
+	// uninterrupted run's.  Checkpoints without them resume as before.
+	Kernel    KernelTier `json:"kernel,omitempty"`
+	Workers   int        `json:"workers,omitempty"`
+	Downshift int        `json:"downshift,omitempty"`
 }
 
 // checkpointOf assembles the public checkpoint from the engine snapshot.
@@ -162,6 +169,9 @@ func checkpointOf(sys *System, rs *RunSpec, snap *sim.Resume) (*Checkpoint, erro
 		ChangesPerRound: snap.ChangesPerRound,
 		FirstReached:    snap.FirstReached,
 		MonotoneTarget:  snap.MonotoneTarget,
+		Kernel:          snap.Kernel,
+		Workers:         snap.Workers,
+		Downshift:       snap.Downshift,
 	}
 	if cp.ChangesPerRound == nil {
 		cp.ChangesPerRound = []int{}
@@ -225,6 +235,9 @@ func (cp *Checkpoint) validate() error {
 	if cp.Round < 0 {
 		return fmt.Errorf("dynmon: checkpoint with negative round %d", cp.Round)
 	}
+	if cp.Workers < 0 || cp.Downshift < 0 {
+		return fmt.Errorf("dynmon: checkpoint with negative workers %d or downshift %d", cp.Workers, cp.Downshift)
+	}
 	if cp.Round != len(cp.ChangesPerRound) {
 		return fmt.Errorf("dynmon: checkpoint round %d does not match its %d-round change trace", cp.Round, len(cp.ChangesPerRound))
 	}
@@ -251,7 +264,8 @@ func (cp *Checkpoint) validate() error {
 // The checkpoint must fit the system (matching dimensions; matching system
 // spec when the checkpoint pins one).  Resuming never re-enters the
 // bitplane tier — a checkpoint carries scalar state — which changes nothing
-// about the result, by the engine's tier contract.
+// about the result, by the engine's tier contract; the checkpoint's tier
+// report keeps the Result's kernel, workers and downshift fields as well.
 func (s *System) Resume(ctx context.Context, cp *Checkpoint, opts ...RunOption) (*Result, error) {
 	rs, snap, err := s.resumeSpec(cp, opts)
 	if err != nil {
@@ -328,6 +342,9 @@ func (s *System) resumeSpec(cp *Checkpoint, opts []RunOption) (RunSpec, *sim.Res
 		ChangesPerRound: cp.ChangesPerRound,
 		FirstReached:    cp.FirstReached,
 		MonotoneTarget:  cp.MonotoneTarget,
+		Kernel:          cp.Kernel,
+		Workers:         cp.Workers,
+		Downshift:       cp.Downshift,
 	}
 	return rs, snap, nil
 }

@@ -3,6 +3,7 @@ package dynserve
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -252,5 +253,63 @@ func TestReadyzDuringRecovery(t *testing.T) {
 	waitReady(t, srv)
 	if code := get("/readyz"); code != http.StatusOK {
 		t.Fatalf("readyz after recovery %d, want 200", code)
+	}
+}
+
+// TestEvictedBitplaneJobResumesToRunBytes pins the digest contract across a
+// resume off the bitplane tier: a k = 3 job parked on a mid-run checkpoint
+// resumes on a scalar tier, and the Result it settles (and caches under its
+// digest) must be the bytes /v1/runs serves for the same spec.  The
+// bernoulli run hands over to the frontier at round 13, after the
+// checkpoint; the random one stays on the bitplane tier to its budget.
+func TestEvictedBitplaneJobResumesToRunBytes(t *testing.T) {
+	for _, initial := range []dynmon.InitialSpec{
+		{Config: "bernoulli", Seed: 3, Density: 0.45},
+		{Config: "random", Seed: 3},
+	} {
+		t.Run(initial.Config, func(t *testing.T) {
+			fs := &dynmon.FileSpec{
+				Initial: &initial,
+				Run:     dynmon.RunSpec{Target: 1, MaxRounds: 40},
+			}
+			fs.System.Substrate.Topology = &dynmon.TopologySpec{Name: "toroidal-mesh", Rows: 32, Cols: 32}
+			fs.System.Colors = 3
+			fs.System.Rule = "smp"
+			spec, err := json.Marshal(fs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			id, digest := fabricateCrash(t, dir, spec, 10)
+			st, err := OpenStore(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			meta := jobMeta{ID: id, Digest: digest, State: jobEvicted, Detached: true, Round: 10, CheckpointRound: 10}
+			if err := st.SaveMeta(meta); err != nil {
+				t.Fatal(err)
+			}
+
+			srv, ts := newTestServer(t, Config{Workers: 1, DataDir: dir})
+			waitReady(t, srv)
+			resp := postRun(t, ts.URL, spec, "application/json")
+			want := bytes.TrimSuffix(readAll(t, resp), []byte("\n"))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("/v1/runs status %d: %s", resp.StatusCode, want)
+			}
+			if !bytes.Contains(want, []byte(`"kernel":"bitplane"`)) {
+				t.Fatalf("fixture no longer runs on the bitplane tier: %s", want[:80])
+			}
+			code, got := attachBuffered(t, ts.URL, id)
+			if code != http.StatusOK {
+				t.Fatalf("attach status %d: %s", code, got)
+			}
+			if n := srv.metrics.JobsResumed.Load(); n != 1 {
+				t.Fatalf("JobsResumed = %d, want 1", n)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("resumed job settled other bytes than /v1/runs serves for its digest:\n got %.120s\nwant %.120s", got, want)
+			}
+		})
 	}
 }

@@ -8,21 +8,35 @@ import "repro/internal/color"
 // of plane b is bit b of (color-1) of vertex v — and gathers each of the
 // four neighbor ports as a shifted copy of those planes.  A rule whose
 // decision has a closed bitwise form can then recolor 64 vertices per word
-// operation.  The kernels below are exact: each one is the rule's
-// NextFromCounts decision compiled to a carry-save adder network over the
-// per-port indicator bits, and the bitrule tests pin them bit-identical to
-// the scalar path on every neighborhood multiset.
+// operation.  The kernels below are exact, and the bitrule tests pin them
+// bit-identical to Rule.Next on every neighborhood.
 //
-// The SMP-Protocol's three cases map to adder outputs directly.  Writing
-// count_e for the number of ports carrying encoding e (counts sum to 4):
+// One plane (k ≤ 2) is one indicator bit per port, so a carry-save adder
+// network (csa4) counts the ports per lane and every rule is a function of
+// that count and the lane's current bit.
 //
-//   - "some color on ≥ 3 neighbors" is bit2 | (bit1 & bit0) of count_e;
-//   - the 2+1+1 pattern is count_e == 2 with no *other* encoding at 2 —
-//     when exactly one pair exists the remaining two ports are automatically
-//     distinct, which is the paper's uniqueness condition;
-//   - the 2+2 tie is two encodings at exactly 2, the case that keeps the
-//     current color and distinguishes SMP from the Prefer-Black /
-//     Prefer-Current variants.
+// Two planes (k ≤ 4) evaluate the SMP-Protocol the way the paper's
+// Algorithm 1 states it, as equalities between the neighbors a, b, c, d:
+// adopt r(a) when
+//
+//	(r(a) = r(b) ∧ r(c) ≠ r(d))  ∨  (r(a) = r(b) = r(c) = r(d))
+//
+// over relabelings of the ports.  Per word, the six pairwise masks ab, ac,
+// ad, bc, bd, cd (the complement of the XOR in each plane, ANDed across
+// planes) decide it without tallying colors:
+//
+//   - a port with an equal partner carries the winning color; the first in
+//     port order is selected (selA = ab|ac|ad, selB = (bc|bd)&^selA,
+//     selC = cd&^(selA|selB)), and its planes are the adopted encoding;
+//   - the 2+2 tie is a perfect matching of equal pairs that is not one
+//     color, tie = (ab&cd | ac&bd | ad&bc) &^ (ab&ac&ad), and keeps the
+//     current color — the case that distinguishes SMP from the
+//     Prefer-Black / Prefer-Current variants;
+//   - four distinct colors select no port and keep the current color.
+//
+// Prefer-Current and strong majority adopt only a triple, read off the same
+// masks; Prefer-Black and the thresholds compare each port with a constant
+// encoding and count the matches with csa4.
 
 // BitPorts is the number of neighbor ports of the torus topologies (equal to
 // grid.Degree; rules deliberately does not import grid).
@@ -114,48 +128,15 @@ func geCount(b2, b1, b0 uint64, theta int) uint64 {
 	}
 }
 
-// enc4 summarizes one word of a two-plane neighborhood: for each encoding e,
-// the per-lane indicators of count_e ≥ 2, ≥ 3 and == 2 over the four ports.
-type enc4 struct {
-	ge2, ge3, eq2 [4]uint64
-}
+// same2 is the per-lane indicator that the two-plane words (x0, x1) and
+// (y0, y1) carry the same encoding.
+func same2(x0, x1, y0, y1 uint64) uint64 { return ^((x0 ^ y0) | (x1 ^ y1)) }
 
-// countEnc4 tallies the four ports of word w into per-encoding indicators.
-func countEnc4(st *BitState, w int) (c enc4) {
-	var m [4][BitPorts]uint64
-	for p := 0; p < BitPorts; p++ {
-		lo := st.Nbr[p][0][w]
-		hi := st.Nbr[p][1][w]
-		m[0][p] = ^(lo | hi)
-		m[1][p] = lo &^ hi
-		m[2][p] = hi &^ lo
-		m[3][p] = lo & hi
-	}
-	for e := 0; e < 4; e++ {
-		b2, b1, b0 := csa4(m[e][0], m[e][1], m[e][2], m[e][3])
-		c.ge3[e] = b2 | (b1 & b0)
-		c.eq2[e] = b1 &^ (b0 | b2)
-		c.ge2[e] = b2 | b1
-	}
-	return
-}
-
-// twoPairs is the per-lane indicator of the 2+2 tie: at least two encodings
-// with exactly two ports each.
-func twoPairs(eq2 *[4]uint64) uint64 {
-	return (eq2[0] & (eq2[1] | eq2[2] | eq2[3])) |
-		(eq2[1] & (eq2[2] | eq2[3])) |
-		(eq2[2] & eq2[3])
-}
-
-// writeEnc2 combines per-encoding adopt masks into the two output planes:
-// lanes in adopt[e] take encoding e, all others keep the current planes.
-// The adopt masks must be pairwise disjoint (counts sum to 4, so at most one
-// encoding can win a lane).
-func writeEnc2(st *BitState, w int, adopt *[4]uint64) {
-	sel := adopt[0] | adopt[1] | adopt[2] | adopt[3]
-	st.Next[0][w] = adopt[1] | adopt[3] | (st.Cur[0][w] &^ sel)
-	st.Next[1][w] = adopt[2] | adopt[3] | (st.Cur[1][w] &^ sel)
+// ports2 loads word w of both planes of the four ports a, b, c, d.
+func ports2(st *BitState, w int) (a0, a1, b0, b1, c0, c1, d0, d1 uint64) {
+	n := &st.Nbr
+	return n[0][0][w], n[0][1][w], n[1][0][w], n[1][1][w],
+		n[2][0][w], n[2][1][w], n[3][0][w], n[3][1][w]
 }
 
 // smpKernel1 is the one-plane SMP kernel.  With two colors the 2+1+1 case
@@ -175,31 +156,48 @@ func (smpKernel1) StepWords(st *BitState, lo, hi int) {
 	}
 }
 
-// smpKernel2 is the two-plane SMP kernel: per encoding, adopt on count ≥ 3
-// or on the unique pair of a 2+1+1 split; keep on 2+2 ties and 1+1+1+1.
-type smpKernel2 struct{}
+// smpPairsKernel is the two-plane SMP kernel: Algorithm 1 on the six
+// pairwise port-equality masks (see the file comment).  The word ranges are
+// resliced to one length so the loop indexes without bounds checks.
+type smpPairsKernel struct{}
 
-func (smpKernel2) StepWords(st *BitState, lo, hi int) {
-	for w := lo; w < hi; w++ {
-		c := countEnc4(st, w)
-		two2 := twoPairs(&c.eq2)
-		var adopt [4]uint64
-		for e := 0; e < 4; e++ {
-			adopt[e] = c.ge3[e] | (c.eq2[e] &^ two2)
-		}
-		writeEnc2(st, w, &adopt)
+func (smpPairsKernel) StepWords(st *BitState, lo, hi int) {
+	n := hi - lo
+	pa0, pa1 := st.Nbr[0][0][lo:hi][:n], st.Nbr[0][1][lo:hi][:n]
+	pb0, pb1 := st.Nbr[1][0][lo:hi][:n], st.Nbr[1][1][lo:hi][:n]
+	pc0, pc1 := st.Nbr[2][0][lo:hi][:n], st.Nbr[2][1][lo:hi][:n]
+	pd0, pd1 := st.Nbr[3][0][lo:hi][:n], st.Nbr[3][1][lo:hi][:n]
+	cur0, cur1 := st.Cur[0][lo:hi][:n], st.Cur[1][lo:hi][:n]
+	next0, next1 := st.Next[0][lo:hi][:n], st.Next[1][lo:hi][:n]
+	for i := 0; i < n; i++ {
+		a0, a1, b0, b1 := pa0[i], pa1[i], pb0[i], pb1[i]
+		c0, c1, d0, d1 := pc0[i], pc1[i], pd0[i], pd1[i]
+		ab, ac, ad := same2(a0, a1, b0, b1), same2(a0, a1, c0, c1), same2(a0, a1, d0, d1)
+		bc, bd, cd := same2(b0, b1, c0, c1), same2(b0, b1, d0, d1), same2(c0, c1, d0, d1)
+		selA := ab | ac | ad
+		selB := (bc | bd) &^ selA
+		selC := cd &^ (selA | selB)
+		tie := (ab&cd | ac&bd | ad&bc) &^ (ab & ac & ad)
+		adopt := (selA | selB | selC) &^ tie
+		next0[i] = (selA&a0|selB&b0|selC&c0)&adopt | cur0[i]&^adopt
+		next1[i] = (selA&a1|selB&b1|selC&c1)&adopt | cur1[i]&^adopt
 	}
 }
 
-// majority3Kernel2 adopts only on count ≥ 3 (Prefer-Current and strong
-// majority; uniqueness is automatic with four ports).
+// majority3Kernel2 adopts only a color on ≥ 3 ports (Prefer-Current and
+// strong majority; uniqueness is automatic with four ports): a triple
+// containing a picks a, and b = c = d picks b.
 type majority3Kernel2 struct{}
 
 func (majority3Kernel2) StepWords(st *BitState, lo, hi int) {
 	for w := lo; w < hi; w++ {
-		c := countEnc4(st, w)
-		adopt := c.ge3
-		writeEnc2(st, w, &adopt)
+		a0, a1, b0, b1, c0, c1, d0, d1 := ports2(st, w)
+		ab, ac, ad := same2(a0, a1, b0, b1), same2(a0, a1, c0, c1), same2(a0, a1, d0, d1)
+		pickA := ab&ac | ab&ad | ac&ad
+		pickB := same2(b0, b1, c0, c1) & same2(b0, b1, d0, d1)
+		adopt := pickA | pickB
+		st.Next[0][w] = pickA&a0 | pickB&b0 | st.Cur[0][w]&^adopt
+		st.Next[1][w] = pickA&a1 | pickB&b1 | st.Cur[1][w]&^adopt
 	}
 }
 
@@ -225,22 +223,21 @@ func (k pbKernel1) StepWords(st *BitState, lo, hi int) {
 }
 
 // pbKernel2 is the two-plane Prefer-Black kernel: black wins any lane with
-// ≥ 2 black ports; elsewhere the unique ≥ 2 majority (count ≥ 3, or the
-// single pair of a 2+1+1 split) is adopted, and 2+2 ties keep the current
-// color.
+// ≥ 2 black ports (a per-port compare with the black encoding, counted by
+// csa4); every other lane falls through to the SMP decision, so a unique
+// majority is adopted and 2+2 ties keep the current color.
 type pbKernel2 struct{ black int }
 
 func (k pbKernel2) StepWords(st *BitState, lo, hi int) {
+	smpPairsKernel{}.StepWords(st, lo, hi)
+	t0 := -uint64(k.black & 1)
+	t1 := -uint64((k.black >> 1) & 1)
 	for w := lo; w < hi; w++ {
-		c := countEnc4(st, w)
-		two2 := twoPairs(&c.eq2)
-		blackSel := c.ge2[k.black]
-		var adopt [4]uint64
-		for e := 0; e < 4; e++ {
-			adopt[e] = (c.ge3[e] | (c.eq2[e] &^ two2)) &^ blackSel
-		}
-		adopt[k.black] = blackSel
-		writeEnc2(st, w, &adopt)
+		a0, a1, b0, b1, c0, c1, d0, d1 := ports2(st, w)
+		b2, bb1, _ := csa4(same2(a0, a1, t0, t1), same2(b0, b1, t0, t1), same2(c0, c1, t0, t1), same2(d0, d1, t0, t1))
+		black := b2 | bb1
+		st.Next[0][w] = t0&black | st.Next[0][w]&^black
+		st.Next[1][w] = t1&black | st.Next[1][w]&^black
 	}
 }
 
@@ -309,18 +306,19 @@ func (k irrevSMPKernel1) StepWords(st *BitState, lo, hi int) {
 	}
 }
 
-// irrevSMPKernel2 is the two-plane monotone SMP kernel.
+// irrevSMPKernel2 is the two-plane monotone SMP kernel: lanes adopt the
+// target exactly where the SMP decision lands on it, i.e. where the SMP
+// output carries the target (a lane that already holds it keeps it).
 type irrevSMPKernel2 struct{ target int }
 
 func (k irrevSMPKernel2) StepWords(st *BitState, lo, hi int) {
-	t0mask := -uint64(k.target & 1)
-	t1mask := -uint64((k.target >> 1) & 1)
+	smpPairsKernel{}.StepWords(st, lo, hi)
+	t0 := -uint64(k.target & 1)
+	t1 := -uint64((k.target >> 1) & 1)
 	for w := lo; w < hi; w++ {
-		c := countEnc4(st, w)
-		two2 := twoPairs(&c.eq2)
-		adopt := c.ge3[k.target] | (c.eq2[k.target] &^ two2)
-		st.Next[0][w] = (adopt & t0mask) | (st.Cur[0][w] &^ adopt)
-		st.Next[1][w] = (adopt & t1mask) | (st.Cur[1][w] &^ adopt)
+		adopt := same2(st.Next[0][w], st.Next[1][w], t0, t1)
+		st.Next[0][w] = t0&adopt | st.Cur[0][w]&^adopt
+		st.Next[1][w] = t1&adopt | st.Cur[1][w]&^adopt
 	}
 }
 
@@ -344,7 +342,7 @@ func (SMP) BitKernel(k int) (BitKernel, bool) {
 	if planes == 1 {
 		return smpKernel1{}, true
 	}
-	return smpKernel2{}, true
+	return smpPairsKernel{}, true
 }
 
 // BitKernel returns the Prefer-Black kernel.  A black color outside the
@@ -365,7 +363,7 @@ func (r SimpleMajorityPB) BitKernel(k int) (BitKernel, bool) {
 	if enc >= 0 && enc < 4 {
 		return pbKernel2{black: enc}, true
 	}
-	return smpKernel2{}, true
+	return smpPairsKernel{}, true
 }
 
 // BitKernel returns the Prefer-Current kernel.

@@ -123,60 +123,65 @@ func TestBitKernelRefusedBeyondFourColors(t *testing.T) {
 	}
 }
 
-// TestBitKernelStripesAreIndependent runs a kernel split at an arbitrary
-// word boundary and requires the same output as one full-range call — the
+// TestBitKernelStripesAreIndependent runs every kernel split at arbitrary
+// word boundaries and requires the same output as one full-range call — the
 // property the engine relies on to stripe a step across workers.
 func TestBitKernelStripesAreIndependent(t *testing.T) {
-	rule := SMP{}
-	k := 4
-	kern, _ := rule.BitKernel(k)
-	planes, _ := color.PlanesFor(k)
-	lanes := 64*3 + 17
+	lanes := 64*5 + 17
 	words := color.PlaneWords(lanes)
-
-	cells := make([]color.Color, lanes)
-	for i := range cells {
-		cells[i] = color.Color(i%k + 1)
-	}
-	var st BitState
-	st.Planes = planes
-	fill := func(rot int) [MaxBitPlanes][]uint64 {
-		rotated := make([]color.Color, lanes)
-		for i := range cells {
-			rotated[i] = cells[(i+rot)%lanes]
-		}
-		var out [MaxBitPlanes][]uint64
-		dst := make([][]uint64, planes)
-		for b := 0; b < planes; b++ {
-			out[b] = make([]uint64, words)
-			dst[b] = out[b]
-		}
-		color.PackPlanes(rotated, dst)
-		return out
-	}
-	st.Cur = fill(0)
-	for p := 0; p < BitPorts; p++ {
-		st.Nbr[p] = fill(p + 1)
-	}
-	whole := make([][]uint64, planes)
-	split := make([][]uint64, planes)
-	for b := 0; b < planes; b++ {
-		whole[b] = make([]uint64, words)
-		split[b] = make([]uint64, words)
-	}
-	for b := 0; b < planes; b++ {
-		st.Next[b] = whole[b]
-	}
-	kern.StepWords(&st, 0, words)
-	for b := 0; b < planes; b++ {
-		st.Next[b] = split[b]
-	}
-	kern.StepWords(&st, 2, words)
-	kern.StepWords(&st, 0, 2)
-	for b := 0; b < planes; b++ {
-		for w := 0; w < words; w++ {
-			if whole[b][w] != split[b][w] {
-				t.Fatalf("plane %d word %d differs between whole and split kernel runs", b, w)
+	for _, rule := range bitRuleFixtures() {
+		for k := 2; k <= color.MaxPlaneColors; k++ {
+			kern, ok := rule.BitKernel(k)
+			if !ok {
+				t.Fatalf("%s: no kernel for k=%d", rule.Name(), k)
+			}
+			planes, _ := color.PlanesFor(k)
+			x := uint64(k)*0x9E3779B97F4A7C15 + 1
+			fill := func() [MaxBitPlanes][]uint64 {
+				cells := make([]color.Color, lanes)
+				for i := range cells {
+					x ^= x << 13
+					x ^= x >> 7
+					x ^= x << 17
+					cells[i] = color.Color(x%uint64(k) + 1)
+				}
+				var out [MaxBitPlanes][]uint64
+				dst := make([][]uint64, planes)
+				for b := 0; b < planes; b++ {
+					out[b] = make([]uint64, words)
+					dst[b] = out[b]
+				}
+				color.PackPlanes(cells, dst)
+				return out
+			}
+			var st BitState
+			st.Planes = planes
+			st.Cur = fill()
+			for p := 0; p < BitPorts; p++ {
+				st.Nbr[p] = fill()
+			}
+			run := func(cuts ...int) [][]uint64 {
+				out := make([][]uint64, planes)
+				for b := 0; b < planes; b++ {
+					out[b] = make([]uint64, words)
+					st.Next[b] = out[b]
+				}
+				// Step the stripes last-first, so a kernel that wrote
+				// outside its range would be caught overwriting a
+				// neighbor's finished words.
+				for i := len(cuts) - 1; i > 0; i-- {
+					kern.StepWords(&st, cuts[i-1], cuts[i])
+				}
+				return out
+			}
+			whole := run(0, words)
+			split := run(0, 1, 2, 4, words)
+			for b := 0; b < planes; b++ {
+				for w := 0; w < words; w++ {
+					if whole[b][w] != split[b][w] {
+						t.Fatalf("%s k=%d: plane %d word %d differs between whole and split kernel runs", rule.Name(), k, b, w)
+					}
+				}
 			}
 		}
 	}

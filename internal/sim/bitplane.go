@@ -228,15 +228,14 @@ const bitplaneSlabWords = 8192
 // Step applies one synchronous round to all planes and returns the number
 // of vertices that changed color.
 func (bp *Bitplane) Step() int {
-	bp.stepSlabs(0, bp.words, bitplaneSlabWords)
-	return bp.finishStep()
+	return bp.finishStep(bp.stepSlabs(0, bp.words, bitplaneSlabWords))
 }
 
 // stepStriped is Step with the fused slabs striped across the shared worker
-// pool.  Each task owns a contiguous word range and runs shift+kernel slab
-// by slab within it; tasks share only read-only state (the Cur planes,
+// pool.  Each task owns a contiguous word range and runs shift+kernel+diff
+// slab by slab within it; tasks share only read-only state (the Cur planes,
 // stable for the whole round, and the shift plan), so no intra-round
-// barrier is needed.
+// barrier is needed.  The submitter sums the tasks' change counts.
 func (bp *Bitplane) stepStriped(st *runState, workers int) int {
 	if workers > bp.words {
 		workers = bp.words
@@ -251,40 +250,64 @@ func (bp *Bitplane) stepStriped(st *runState, workers int) int {
 		tasks[i] = stripeTask{run: runBitSlabTask, wg: &st.wg, bp: bp, lo: lo, hi: min(lo+chunk, bp.words)}
 	}
 	runStriped(tasks, &st.wg)
-	return bp.finishStep()
+	changed := 0
+	for i := range tasks {
+		changed += tasks[i].changed
+	}
+	return bp.finishStep(changed)
 }
 
 // stepSlabs steps the word range [lo, hi) in fused cache blocks of at most
-// slab words each: all per-port neighbor shifts for the block, then the
-// kernel over the block.
-func (bp *Bitplane) stepSlabs(lo, hi, slab int) {
+// slab words each and returns the number of vertices in the range that
+// changed color.
+func (bp *Bitplane) stepSlabs(lo, hi, slab int) int {
+	changed := 0
 	for w := lo; w < hi; w += slab {
-		bp.stepSlab(w, min(w+slab, hi))
+		changed += bp.stepSlab(w, min(w+slab, hi))
 	}
+	return changed
 }
 
 // stepSlab computes one fused block: the per-port shifted plane words in
-// [wlo, whi), then the kernel over the same range.  The kernel is a pure
-// wordwise map (Next[w] is a function of Cur and Nbr words at w only), so
-// producing Nbr slab-locally is exact.
-func (bp *Bitplane) stepSlab(wlo, whi int) {
+// [wlo, whi), the kernel over the same range, then the block's diff mask
+// and change count (masking the tail lanes first when the block holds the
+// last word).  The kernel is a pure wordwise map (Next[w] is a function of
+// Cur and Nbr words at w only), so producing Nbr slab-locally is exact.
+func (bp *Bitplane) stepSlab(wlo, whi int) int {
+	st := &bp.st
 	for p := 0; p < rules.BitPorts; p++ {
 		port := &bp.plan.Ports[p]
 		for b := 0; b < bp.planes; b++ {
-			shiftPlaneRange(bp.st.Nbr[p][b], bp.st.Cur[b], port, bp.nbits, bp.tailMask, wlo, whi)
+			shiftPlaneRange(st.Nbr[p][b], st.Cur[b], port, bp.nbits, bp.tailMask, wlo, whi)
 		}
 	}
-	bp.kern.StepWords(&bp.st, wlo, whi)
+	bp.kern.StepWords(st, wlo, whi)
+	if whi == bp.words {
+		for b := 0; b < bp.planes; b++ {
+			st.Next[b][whi-1] &= bp.tailMask
+		}
+	}
+	diff := bp.changed[wlo:whi]
+	clear(diff)
+	for b := 0; b < bp.planes; b++ {
+		cur, next := st.Cur[b][wlo:whi][:len(diff)], st.Next[b][wlo:whi][:len(diff)]
+		for i := range diff {
+			diff[i] |= cur[i] ^ next[i]
+		}
+	}
+	changed := 0
+	for _, d := range diff {
+		changed += bits.OnesCount64(d)
+	}
+	return changed
 }
 
-// finishStep masks the kernel output, maintains cycle tracking and the diff
-// mask, and commits Next as the new configuration.
-func (bp *Bitplane) finishStep() int {
+// finishStep maintains cycle tracking and commits Next as the new
+// configuration; changed is the round's change count summed over the
+// stepped ranges.
+func (bp *Bitplane) finishStep(changed int) int {
 	bp.round++
 	st := &bp.st
-	for b := 0; b < bp.planes; b++ {
-		st.Next[b][bp.words-1] &= bp.tailMask
-	}
 	if bp.detectCycles {
 		if bp.round >= bp.cycleBase+2 {
 			cycle := true
@@ -303,15 +326,6 @@ func (bp *Bitplane) finishStep() int {
 		for b := 0; b < bp.planes; b++ {
 			copy(bp.prevPrev[b], st.Cur[b])
 		}
-	}
-	changed := 0
-	for w := 0; w < bp.words; w++ {
-		var d uint64
-		for b := 0; b < bp.planes; b++ {
-			d |= st.Cur[b][w] ^ st.Next[b][w]
-		}
-		bp.changed[w] = d
-		changed += bits.OnesCount64(d)
 	}
 	st.Cur, st.Next = st.Next, st.Cur
 	bp.prevChanged = changed
@@ -423,6 +437,8 @@ func shiftPlaneRange(dst, src []uint64, port *grid.ShiftPort, nbits int, tailMas
 // of dst words [wlo, whi), with s in [0, nbits).  src must honor the plane
 // invariant that bits ≥ nbits are zero; dst receives the same invariant.
 // dst and src must not alias.  The full rotation is the [0, len(src)) range.
+// The interior of each part runs on resliced streams without branches or
+// bounds checks; only the words at a part's edge take the general path.
 func rotateBitsRange(dst, src []uint64, nbits, s int, tailMask uint64, wlo, whi int) {
 	if s == 0 {
 		copy(dst[wlo:whi], src[wlo:whi])
@@ -431,44 +447,51 @@ func rotateBitsRange(dst, src []uint64, nbits, s int, tailMask uint64, wlo, whi 
 	words := len(src)
 	// Low part: dst bit i = src bit i+s for i < nbits-s (a logical right
 	// shift of the bit array; lanes past the end read the zero invariant).
+	// Words below full read two whole source words.
 	off, sh := s>>6, uint(s&63)
-	if sh == 0 {
-		for w := wlo; w < whi; w++ {
-			var x uint64
-			if w+off < words {
-				x = src[w+off]
+	full := min(max(words-off-1, wlo), whi)
+	if full > wlo {
+		d := dst[wlo:full]
+		s0 := src[wlo+off : full+off][:len(d)]
+		if sh == 0 {
+			copy(d, s0)
+		} else {
+			s1 := src[wlo+off+1 : full+off+1][:len(d)]
+			for i := range d {
+				d[i] = s0[i]>>sh | s1[i]<<(64-sh)
 			}
-			dst[w] = x
-		}
-	} else {
-		for w := wlo; w < whi; w++ {
-			var x uint64
-			if w+off < words {
-				x = src[w+off] >> sh
-				if w+off+1 < words {
-					x |= src[w+off+1] << (64 - sh)
-				}
-			}
-			dst[w] = x
 		}
 	}
+	// At most one word past full still reads a source word (its upper
+	// neighbor is the zero padding); the rest read only padding.
+	w := full
+	if w < whi && w+off < words {
+		dst[w] = src[w+off] >> sh
+		w++
+	}
+	clear(dst[w:whi])
 	// High part: dst bit i |= src bit i-(nbits-s) for i ≥ nbits-s (the
 	// wrapped head of the array, a logical left shift).  The two parts are
 	// disjoint because src bits ≥ nbits are zero.
 	t := nbits - s
 	off, sh = t>>6, uint(t&63)
 	lo := max(wlo, off)
-	if sh == 0 {
-		for w := whi - 1; w >= lo; w-- {
-			dst[w] |= src[w-off]
-		}
-	} else {
-		for w := whi - 1; w >= lo; w-- {
-			x := src[w-off] << sh
-			if w-off-1 >= 0 {
-				x |= src[w-off-1] >> (64 - sh)
+	if sh != 0 && lo == off && lo < whi {
+		dst[lo] |= src[0] << sh
+		lo++
+	}
+	if lo < whi {
+		d := dst[lo:whi]
+		s0 := src[lo-off : whi-off][:len(d)]
+		if sh == 0 {
+			for i := range d {
+				d[i] |= s0[i]
 			}
-			dst[w] |= x
+		} else {
+			s1 := src[lo-off-1 : whi-off-1][:len(d)]
+			for i := range d {
+				d[i] |= s0[i]<<sh | s1[i]>>(64-sh)
+			}
 		}
 	}
 	if whi == words {

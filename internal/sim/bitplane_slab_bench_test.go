@@ -53,8 +53,7 @@ func BenchmarkBitplaneSlabWords(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					bp.stepSlabs(0, bp.words, slab)
-					bp.finishStep()
+					bp.finishStep(bp.stepSlabs(0, bp.words, slab))
 				}
 			})
 		}

@@ -334,3 +334,46 @@ func TestBitplaneObserversAndHistoryOnForcedTier(t *testing.T) {
 		}
 	}
 }
+
+// TestRotateBitsRangeMatchesBitReference pins the word rotation behind every
+// neighbor port against a bit-by-bit reference: every shift of several
+// plane lengths (word-aligned, ragged, sub-word), stepped whole and in
+// ranges that cut both parts' edges.
+func TestRotateBitsRangeMatchesBitReference(t *testing.T) {
+	x := uint64(0x9E3779B97F4A7C15)
+	for _, nbits := range []int{1, 63, 64, 65, 128, 200, 256, 321} {
+		words := color.PlaneWords(nbits)
+		tail := color.PlaneTailMask(nbits)
+		src := make([]uint64, words)
+		for w := range src {
+			x ^= x << 13
+			x ^= x >> 7
+			x ^= x << 17
+			src[w] = x
+		}
+		src[words-1] &= tail
+		for s := 0; s < nbits; s++ {
+			want := make([]uint64, words)
+			for i := 0; i < nbits; i++ {
+				j := (i + s) % nbits
+				want[i>>6] |= (src[j>>6] >> uint(j&63) & 1) << uint(i&63)
+			}
+			for _, cuts := range [][]int{{0, words}, {0, words / 2, words}, {0, 1, words - 1, words}} {
+				got := make([]uint64, words)
+				for i := range got {
+					got[i] = ^uint64(0) // stale lanes must be overwritten
+				}
+				for c := 1; c < len(cuts); c++ {
+					if cuts[c-1] < cuts[c] {
+						rotateBitsRange(got, src, nbits, s, tail, cuts[c-1], cuts[c])
+					}
+				}
+				for w := range want {
+					if got[w] != want[w] {
+						t.Fatalf("nbits=%d s=%d cuts=%v: word %d = %#x, want %#x", nbits, s, cuts, w, got[w], want[w])
+					}
+				}
+			}
+		}
+	}
+}

@@ -439,7 +439,6 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 		resBuf[r] = res
 	}
 
-	lowChurn := make([]int, len(initials))
 	for {
 		if err := ctx.Err(); err != nil {
 			return results, err
@@ -471,16 +470,9 @@ func (e *Engine) RunBatchSliced(ctx context.Context, initials []*color.Coloring,
 				done = true
 			}
 			if !done {
-				if emulate>>uint(r)&1 == 1 && res.Downshift == 0 {
+				if emulate>>uint(r)&1 == 1 && res.Downshift == 0 && lowChurn(res.ChangesPerRound, bs.n) {
 					// The scalar bitplane driver's low-churn handoff.
-					if c*downshiftFactor < bs.n {
-						lowChurn[r]++
-					} else {
-						lowChurn[r] = 0
-					}
-					if lowChurn[r] >= downshiftRounds {
-						res.Downshift = round + 1
-					}
+					res.Downshift = round + 1
 				}
 				continue
 			}

@@ -18,8 +18,10 @@ type stripeTask struct {
 	wg  *sync.WaitGroup
 
 	// bp parameterizes the bitplane stripe: the task steps the word range
-	// [lo, hi) in fused shift+kernel cache blocks.
-	bp *Bitplane
+	// [lo, hi) in fused shift+kernel+diff cache blocks and leaves the
+	// range's change count in changed.
+	bp      *Bitplane
+	changed int
 
 	// shd parameterizes the sharded stripe: the task's lo field carries the
 	// shard index and the per-shard outputs land in the shard's own state.
@@ -29,7 +31,7 @@ type stripeTask struct {
 }
 
 func (t *stripeTask) runBitSlab() {
-	t.bp.stepSlabs(t.lo, t.hi, bitplaneSlabWords)
+	t.changed = t.bp.stepSlabs(t.lo, t.hi, bitplaneSlabWords)
 }
 
 func (t *stripeTask) runShard() {

@@ -495,4 +495,4 @@ func (d *stochasticDriver) mono() bool {
 
 func (d *stochasticDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
 
-func (d *stochasticDriver) downshift(int, int, int, *Result) runDriver { return nil }
+func (d *stochasticDriver) downshift(int, *Result) runDriver { return nil }

@@ -377,4 +377,4 @@ func (d *shardedDriver) cycle() bool {
 	return true
 }
 
-func (d *shardedDriver) downshift(int, int, int, *Result) runDriver { return nil }
+func (d *shardedDriver) downshift(int, *Result) runDriver { return nil }

@@ -44,16 +44,20 @@ func (s *Step) Config() *color.Coloring { return s.drv.config() }
 
 // Checkpoint snapshots the resumable state of the run after this step: the
 // configuration, the round counter, the previous round's configuration (the
-// stop-detector state behind period-2 cycle detection) and the accumulated
-// per-run trace.  The snapshot is deep — it shares no memory with the engine
-// — and feeding it to Engine.ResumeContext with the same Options continues
-// the run bit-identically to one that was never interrupted.
+// stop-detector state behind period-2 cycle detection), the accumulated
+// per-run trace and the tier report.  The snapshot is deep — it shares no
+// memory with the engine — and feeding it to Engine.ResumeContext with the
+// same Options continues the run bit-identically to one that was never
+// interrupted.
 func (s *Step) Checkpoint() *Resume {
 	cp := &Resume{
 		Round:          s.Round,
 		Config:         s.drv.config().Clone(),
 		Prev:           s.drv.prevConfig(),
 		MonotoneTarget: s.res.MonotoneTarget,
+		Kernel:         s.res.Kernel,
+		Workers:        s.res.Workers,
+		Downshift:      s.res.Downshift,
 	}
 	cp.ChangesPerRound = append([]int(nil), s.res.ChangesPerRound...)
 	if s.res.FirstReached != nil {
@@ -82,6 +86,15 @@ type Resume struct {
 	ChangesPerRound []int
 	FirstReached    []int
 	MonotoneTarget  bool
+	// Kernel, Workers and Downshift carry the run's tier report up to
+	// Round.  A run that started on the bitplane tier resumes on a scalar
+	// tier (a checkpoint carries scalar state only) but reports these, so
+	// its Result equals the uninterrupted one.  Any other Kernel, including
+	// the zero value of a checkpoint without a tier report, leaves the
+	// Result reporting the tier the resumed run steps on.
+	Kernel    Kernel
+	Workers   int
+	Downshift int
 }
 
 // runDriver is one stepping tier viewed through the single round loop of
@@ -105,9 +118,11 @@ type runDriver interface {
 	// cycle reports whether the last round exactly undid the one before it;
 	// it is only called when Options.DetectCycles is set.
 	cycle() bool
-	// downshift optionally hands the remaining rounds to a cheaper tier
+	// downshift optionally hands the rounds after round to a cheaper tier
 	// (bitplane → frontier on auto runs); nil keeps the current driver.
-	downshift(round, changed, maxRounds int, res *Result) runDriver
+	// drive calls it only after a round that did not end the run, with
+	// that round's change count already on res.ChangesPerRound.
+	downshift(round int, res *Result) runDriver
 }
 
 // drive is the engine's single round loop: every tier, streamed or not,
@@ -162,7 +177,7 @@ func (e *Engine) drive(ctx context.Context, drv runDriver, res *Result, opt Opti
 			done = true
 		}
 		if !done {
-			if next := drv.downshift(round, changed, maxRounds, res); next != nil {
+			if next := drv.downshift(round, res); next != nil {
 				drv = next
 			}
 		}
@@ -293,7 +308,7 @@ func (d *sweepDriver) mono() bool {
 
 func (d *sweepDriver) cycle() bool { return d.prevPrev != nil && d.cycleFlag }
 
-func (d *sweepDriver) downshift(int, int, int, *Result) runDriver { return nil }
+func (d *sweepDriver) downshift(int, *Result) runDriver { return nil }
 
 // frontierDriver is the dirty-frontier tier behind drive, with all per-round
 // bookkeeping done on the change journal instead of the full lattice.
@@ -341,7 +356,7 @@ func (d *frontierDriver) prevConfig() *color.Coloring {
 func (d *frontierDriver) mono() bool  { return d.f.Monochromatic() }
 func (d *frontierDriver) cycle() bool { return d.f.Cycle() }
 
-func (d *frontierDriver) downshift(int, int, int, *Result) runDriver { return nil }
+func (d *frontierDriver) downshift(int, *Result) runDriver { return nil }
 
 // bitplaneDriver is the word-parallel bit-sliced tier behind drive,
 // including the auto-tier mid-run handoff to the frontier once the change
@@ -353,7 +368,6 @@ type bitplaneDriver struct {
 	workers     int
 	forced      bool
 	trackTarget bool
-	lowChurn    int
 }
 
 func (e *Engine) newBitplaneDriver(st *runState, initial *color.Coloring, opt Options, workers int, forced bool, k int, plan *grid.ShiftPlan, kern rules.BitKernel) (*bitplaneDriver, error) {
@@ -418,16 +432,8 @@ func (d *bitplaneDriver) cycle() bool { return d.bp.Cycle() }
 // single-goroutine, and a forced tier is a contract).  The handoff is exact:
 // the hybrid run produces the same Result, round for round, as either pure
 // stepper.
-func (d *bitplaneDriver) downshift(round, changed, maxRounds int, res *Result) runDriver {
-	if d.forced || d.workers != 1 || round >= maxRounds {
-		return nil
-	}
-	if changed*downshiftFactor < d.bp.nbits {
-		d.lowChurn++
-	} else {
-		d.lowChurn = 0
-	}
-	if d.lowChurn < downshiftRounds {
+func (d *bitplaneDriver) downshift(round int, res *Result) runDriver {
+	if d.forced || d.workers != 1 || !lowChurn(res.ChangesPerRound, d.bp.nbits) {
 		return nil
 	}
 	f := d.st.frontier(d.e)
@@ -436,6 +442,38 @@ func (d *bitplaneDriver) downshift(round, changed, maxRounds int, res *Result) r
 	// Hand over the previous round's configuration too, so a checkpoint
 	// taken at exactly the handoff round keeps its cycle-detector seed.
 	return &frontierDriver{f: f, seedPrev: d.prevConfig()}
+}
+
+// lowChurn is the downshift predicate: the last downshiftRounds rounds of
+// the change trace each changed fewer than n/downshiftFactor of the n
+// vertices.
+func lowChurn(changesPerRound []int, n int) bool {
+	if len(changesPerRound) < downshiftRounds {
+		return false
+	}
+	for _, c := range changesPerRound[len(changesPerRound)-downshiftRounds:] {
+		if c*downshiftFactor >= n {
+			return false
+		}
+	}
+	return true
+}
+
+// downshiftReplay wraps the scalar driver of a resumed sequential bitplane
+// run that had not downshifted by its checkpoint: it records the round at
+// which the uninterrupted run hands over to the frontier, by the same
+// predicate, so the resumed Result reports the same Downshift.
+type downshiftReplay struct {
+	runDriver
+	n int
+}
+
+func (d downshiftReplay) downshift(round int, res *Result) runDriver {
+	if !lowChurn(res.ChangesPerRound, d.n) {
+		return nil
+	}
+	res.Downshift = round + 1
+	return d.runDriver
 }
 
 // Stream returns the run as a pull-based sequence of per-round steps: the
@@ -463,7 +501,9 @@ func (e *Engine) Stream(ctx context.Context, initial *color.Coloring, opt Option
 // bitplane tier cannot be resumed into (its journal state is not captured by
 // Resume): forcing KernelBitplane returns an error and automatic selection
 // picks a scalar tier — which, by the engine's tier contract, changes
-// nothing about the result.
+// nothing about the result.  A run that started on the bitplane tier
+// reports the checkpoint's Kernel and Workers, and the Downshift the
+// uninterrupted run records.
 func (e *Engine) StreamFrom(ctx context.Context, rs *Resume, opt Options) iter.Seq2[*Step, error] {
 	return ObserveStream(e.streamRun(ctx, nil, rs, opt), opt.Observers)
 }
@@ -574,6 +614,9 @@ func (e *Engine) streamRun(ctx context.Context, initial *color.Coloring, rs *Res
 		default:
 			drv = e.newSweepDriver(st, initial, opt, rs)
 		}
+		if rs != nil && rs.Kernel == KernelBitplane && rs.Workers == 1 && rs.Downshift == 0 {
+			drv = downshiftReplay{runDriver: drv, n: d.N()}
+		}
 		res := e.initRunResult(drv, initial, rs, opt, workers, kernel, &maxRounds, fixedPointStops)
 		from := 1
 		if rs != nil {
@@ -679,6 +722,9 @@ func (e *Engine) initRunResult(drv runDriver, initial *color.Coloring, rs *Resum
 	}
 	res.Rounds = rs.Round
 	res.ChangesPerRound = append([]int(nil), rs.ChangesPerRound...)
+	if rs.Kernel == KernelBitplane {
+		res.Kernel, res.Workers, res.Downshift = rs.Kernel, rs.Workers, rs.Downshift
+	}
 	if opt.Target != color.None {
 		if rs.FirstReached != nil {
 			res.FirstReached = append([]int(nil), rs.FirstReached...)
@@ -725,6 +771,9 @@ func (rs *Resume) validate(d grid.Dims) error {
 	if rs.Round < 0 {
 		return fmt.Errorf("sim: Resume with negative round %d", rs.Round)
 	}
+	if rs.Workers < 0 || rs.Downshift < 0 {
+		return fmt.Errorf("sim: Resume with negative workers %d or downshift %d", rs.Workers, rs.Downshift)
+	}
 	if rs.Round != len(rs.ChangesPerRound) {
 		return fmt.Errorf("sim: Resume round %d does not match its %d-round change trace", rs.Round, len(rs.ChangesPerRound))
 	}
@@ -748,6 +797,9 @@ func (r *Result) ResumeState() (*Resume, bool) {
 		Round:          r.Rounds,
 		Config:         r.Final.Clone(),
 		MonotoneTarget: r.MonotoneTarget,
+		Kernel:         r.Kernel,
+		Workers:        r.Workers,
+		Downshift:      r.Downshift,
 	}
 	if r.prev != nil {
 		rs.Prev = r.prev.Clone()

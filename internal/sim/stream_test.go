@@ -297,7 +297,9 @@ func TestResumeFromCanceledResult(t *testing.T) {
 // TestResumeOnBitplaneEligibleRun checkpoints an auto run whose early rounds
 // execute on the bitplane tier (two colors, shift-regular torus), which
 // exercises the word-level previous-configuration reconstruction and the
-// frontier handoff, then resumes and compares.
+// frontier handoff, then resumes and compares, tier report included: from
+// every round, before and after the handoff, the resumed run reports the
+// bitplane kernel and the uninterrupted run's downshift round.
 func TestResumeOnBitplaneEligibleRun(t *testing.T) {
 	topo := grid.MustNew(grid.KindToroidalMesh, 16, 16)
 	eng := NewEngine(topo, rules.SMP{})
@@ -315,6 +317,13 @@ func TestResumeOnBitplaneEligibleRun(t *testing.T) {
 			t.Fatalf("resume at %d: %v", at, err)
 		}
 		resultsEqual(t, "bitplane-resume", resumed, full)
+		if resumed.Kernel != full.Kernel || resumed.Workers != full.Workers || resumed.Downshift != full.Downshift {
+			t.Fatalf("resume at %d: tier report %v/%d/%d, want %v/%d/%d", at,
+				resumed.Kernel, resumed.Workers, resumed.Downshift, full.Kernel, full.Workers, full.Downshift)
+		}
+	}
+	if full.Downshift == 0 {
+		t.Fatal("the run never downshifted; the fixture no longer covers the handoff")
 	}
 
 	// A forced bitplane resume is a contract violation, not a silent
