@@ -1,5 +1,6 @@
 // Benchmarks that regenerate every table and figure of the paper (one
-// benchmark per experiment of the E01..E18 index in DESIGN.md), plus
+// benchmark per experiment of the E01..E18 index that `dynamoexp -list`
+// prints, generated by internal/analysis), plus
 // micro-benchmarks of the simulation engine, the constructions and the
 // padding solver.
 //
@@ -276,9 +277,14 @@ func BenchmarkConstruction(b *testing.B) {
 		{"mesh-32x32", grid.KindToroidalMesh, 32, 32},
 		{"cordalis-16x16", grid.KindTorusCordalis, 16, 16},
 		{"serpentinus-16x16", grid.KindTorusSerpentinus, 16, 16},
+		// The size perfbench's dynamo.minimum_ms probe builds.
+		{"mesh-256x256", grid.KindToroidalMesh, 256, 256},
+		{"cordalis-256x256", grid.KindTorusCordalis, 256, 256},
+		{"serpentinus-256x256", grid.KindTorusSerpentinus, 256, 256},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := dynamo.Minimum(c.kind, c.m, c.n, 1, color.MustPalette(5)); err != nil {
 					b.Fatal(err)

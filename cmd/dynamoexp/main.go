@@ -1,5 +1,5 @@
 // Command dynamoexp regenerates the paper's tables and figures (the
-// experiment index E01..E18 of DESIGN.md) and prints them as text, CSV or
+// experiment index E01..E18 that -list prints) and prints them as text, CSV or
 // markdown.  It is a thin CLI over the public repro/dynmon package.
 //
 // Examples:

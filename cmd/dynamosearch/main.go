@@ -1,7 +1,7 @@
 // Command dynamosearch looks for dynamos by randomized (and, for tiny tori,
 // exhaustive) search, independently of the paper's constructions.  It is the
-// tool that produced the sub-bound counterexamples recorded in
-// EXPERIMENTS.md.
+// tool that produced the sub-bound counterexamples that experiment E17
+// (`dynamoexp -exp E17`) records.
 //
 // Examples:
 //
@@ -87,7 +87,7 @@ func main() {
 			kindLabel(found.Monotone), found.SeedSize, found.Rounds)
 		fmt.Print(dynmon.Render(found.Coloring, 1))
 		if found.SeedSize < bound {
-			fmt.Printf("NOTE: this is below the paper's Theorem bound of %d — see EXPERIMENTS.md (E17).\n", bound)
+			fmt.Printf("NOTE: this is below the paper's Theorem bound of %d — see experiment E17 (dynamoexp -exp E17).\n", bound)
 		}
 	}
 

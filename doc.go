@@ -34,6 +34,8 @@
 //     migrate long runs across processes (Step.Checkpoint, System.Resume)
 //     bit-identically to uninterrupted runs.
 //
-// See README.md for a quickstart, DESIGN.md for the system inventory and
-// EXPERIMENTS.md for the paper-vs-measured record of every experiment.
+// See README.md for a quickstart and the repository layout.  The
+// experiment index E01..E18 (`go run ./cmd/dynamoexp -list`) is generated
+// by internal/analysis; each table's note records where the measurements
+// depart from the paper.
 package repro

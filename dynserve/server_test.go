@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/dynmon"
 )
@@ -56,6 +57,16 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
+	if cfg.DataDir != "" {
+		// Job runners write checkpoints under DataDir until they settle:
+		// drain them before the TempDir cleanup (registered earlier, so run
+		// later) removes the directory.
+		t.Cleanup(func() {
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			srv.Drain(ctx)
+		})
+	}
 	return srv, ts
 }
 

@@ -149,7 +149,8 @@ func TestLowerBoundStoryEndToEnd(t *testing.T) {
 }
 
 // TestDeterministicReproduction re-runs a slice of the pipeline twice and
-// demands identical outputs, the property EXPERIMENTS.md relies on.
+// demands identical outputs, the property the experiment tables of
+// internal/analysis rely on.
 func TestDeterministicReproduction(t *testing.T) {
 	run := func() string {
 		sys, err := dynmon.New(dynmon.Mesh(10, 10), dynmon.Colors(5))

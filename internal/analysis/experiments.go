@@ -16,7 +16,7 @@ import (
 	"repro/internal/tvg"
 )
 
-// Experiment is one entry of the per-experiment index in DESIGN.md: a
+// Experiment is one entry of the per-experiment index (`dynamoexp -list`): a
 // generator that reproduces one table or figure of the paper.
 type Experiment struct {
 	// ID is the experiment identifier (E01..E18).
@@ -94,7 +94,7 @@ func E01MeshBounds() *Table {
 			boolMark(rec.IsDynamo && rec.Monotone),
 			fmt.Sprintf("%d/%d", wins, trials), fmt.Sprintf("%d/%d", monotoneWins, trials))
 	}
-	t.Note = "Theorem 1 bounds monotone dynamos; our constructions always match it exactly. Deviation: on tori with min(m,n) <= 5 random search even finds *monotone* dynamos below the bound (e.g. size 4 on the 4x4 mesh), so the bound does not hold for small tori as stated — see EXPERIMENTS.md. For min(m,n) >= 6 no undersized monotone dynamo was found."
+	t.Note = "Theorem 1 bounds monotone dynamos; our constructions always match it exactly. Deviation: on tori with min(m,n) <= 5 random search even finds *monotone* dynamos below the bound (e.g. size 4 on the 4x4 mesh), so the bound does not hold for small tori as stated — see E17. For min(m,n) >= 6 no undersized monotone dynamo was found."
 	return t
 }
 
@@ -245,7 +245,7 @@ func E08SpiralRounds() *Table {
 			t.AddRow(kind.String(), itoa(m), itoa(n), parity, itoa(formula), itoa(rounds))
 		}
 	}
-	t.Note = "the odd-m formula tracks the measurements (exact on the 5x5 Figure 6 case); the even-m branch of Theorem 8 underestimates the measured times — see EXPERIMENTS.md"
+	t.Note = "the odd-m formula tracks the measurements (exact on the 5x5 Figure 6 case); the even-m branch of Theorem 8 underestimates the measured times (rows above)"
 	return t
 }
 
@@ -522,13 +522,13 @@ func E16PaddingAblation() *Table {
 		bad.SetRC(rc[0], rc[1], others[2])
 	}
 	addRow("padding with a planted foreign block", bad)
-	t.Note = "the third row satisfies the theorem's stated hypotheses yet is neither monotone nor a dynamo: the seed vertex next to the missing corner defects in round 1 and a foreign block forms around the corner; see EXPERIMENTS.md"
+	t.Note = "the third row satisfies the theorem's stated hypotheses yet is neither monotone nor a dynamo: the seed vertex next to the missing corner defects in round 1 and a foreign block forms around the corner (dynamo.StatedConditionsGap)"
 	return t
 }
 
 // E17SubBoundSearch looks for monotone dynamos strictly below the Theorem 1
 // lower bound by random search, reproducing the small-torus counterexamples
-// recorded in EXPERIMENTS.md.
+// to Theorem 1 that E01's note cites.
 func E17SubBoundSearch() *Table {
 	t := NewTable("E17  Random search for monotone dynamos below the Theorem 1 bound",
 		"m", "n", "Theorem 1 bound", "smallest monotone dynamo found", "bound violated")

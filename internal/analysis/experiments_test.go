@@ -48,7 +48,7 @@ func TestE01MeshBounds(t *testing.T) {
 		}
 		// Theorem 1 forbids *monotone* dynamos below the bound.  That holds
 		// empirically for min(m,n) >= 6; on smaller tori random search finds
-		// genuine counterexamples (recorded in EXPERIMENTS.md), so those rows
+		// genuine counterexamples (the ones E17 records), so those rows
 		// are exempt here.
 		m, _ := strconv.Atoi(row[0])
 		n, _ := strconv.Atoi(row[1])

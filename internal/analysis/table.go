@@ -1,7 +1,7 @@
 // Package analysis contains the experiment harness: recoloring-time
 // matrices, parameter sweeps and the generators that regenerate every table
-// and figure of the paper's evaluation (experiments E01..E18, indexed in
-// DESIGN.md and EXPERIMENTS.md).
+// and figure of the paper's evaluation (experiments E01..E18, indexed by
+// `dynamoexp -list`).
 package analysis
 
 import (
@@ -12,7 +12,7 @@ import (
 
 // Table is a rendered experiment result: a title, an optional free-text
 // note, a header row and data rows.  Tables print as aligned text (for the
-// terminal and EXPERIMENTS.md) and as CSV (for further processing).
+// terminal), as markdown and as CSV (for further processing).
 type Table struct {
 	Title   string
 	Note    string
@@ -142,8 +142,8 @@ func (t *Table) CSV() string {
 	return b.String()
 }
 
-// Markdown returns the GitHub-flavoured markdown form of the table, used to
-// embed results into EXPERIMENTS.md.
+// Markdown returns the GitHub-flavoured markdown form of the table, for
+// embedding results in documents (`dynamoexp -markdown`).
 func (t *Table) Markdown() string {
 	var b strings.Builder
 	writeRow := func(row []string) {

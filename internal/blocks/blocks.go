@@ -32,9 +32,10 @@ func core(topo grid.Topology, members []bool, minDeg int) []bool {
 	deg := make([]int, n)
 	copy(in, members)
 
+	var buf [grid.Degree]int
 	degreeOf := func(v int) int {
 		d := 0
-		for _, u := range grid.UniqueNeighbors(topo, v) {
+		for _, u := range grid.UniqueNeighbors(topo, v, buf[:0]) {
 			if in[u] {
 				d++
 			}
@@ -58,7 +59,7 @@ func core(topo grid.Topology, members []bool, minDeg int) []bool {
 			continue
 		}
 		in[v] = false
-		for _, u := range grid.UniqueNeighbors(topo, v) {
+		for _, u := range grid.UniqueNeighbors(topo, v, buf[:0]) {
 			if !in[u] {
 				continue
 			}
@@ -77,6 +78,7 @@ func core(topo grid.Topology, members []bool, minDeg int) []bool {
 func components(topo grid.Topology, in []bool) [][]int {
 	n := topo.Dims().N()
 	seen := make([]bool, n)
+	var buf [grid.Degree]int
 	var out [][]int
 	for v := 0; v < n; v++ {
 		if !in[v] || seen[v] {
@@ -89,7 +91,7 @@ func components(topo grid.Topology, in []bool) [][]int {
 			x := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
 			comp = append(comp, x)
-			for _, u := range grid.UniqueNeighbors(topo, x) {
+			for _, u := range grid.UniqueNeighbors(topo, x, buf[:0]) {
 				if in[u] && !seen[u] {
 					seen[u] = true
 					stack = append(stack, u)

@@ -121,6 +121,7 @@ func TestBlockVerticesNeverRecolorUnderSMP(t *testing.T) {
 	c := color.NewColoring(grid.MustDims(7, 7), 2)
 	c.FillCol(3, 1)
 	topo := mesh(7, 7)
+	var buf [grid.Degree]int
 	for _, block := range KBlocks(topo, c, 1) {
 		inBlock := map[int]bool{}
 		for _, v := range block {
@@ -128,7 +129,7 @@ func TestBlockVerticesNeverRecolorUnderSMP(t *testing.T) {
 		}
 		for _, v := range block {
 			cnt := 0
-			for _, u := range grid.UniqueNeighbors(topo, v) {
+			for _, u := range grid.UniqueNeighbors(topo, v, buf[:0]) {
 				if inBlock[u] {
 					cnt++
 				}
@@ -163,7 +164,7 @@ func TestNonKBlocksTwoColumnsInCordalis(t *testing.T) {
 	// vertical wrap stays inside the band) but not by two consecutive rows:
 	// the band's first and last vertices only keep two in-band neighbors.
 	// (The paper states the rows example loosely for all tori; the strict
-	// definition admits it only for the mesh — see EXPERIMENTS.md.)
+	// definition admits it only for the mesh, as this test pins.)
 	topo := grid.MustNew(grid.KindTorusCordalis, 6, 6)
 	byCols := color.NewColoring(grid.MustDims(6, 6), 1)
 	byCols.FillCol(2, 2)

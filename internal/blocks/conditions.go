@@ -2,6 +2,7 @@ package blocks
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/color"
 	"repro/internal/grid"
@@ -14,42 +15,57 @@ import (
 //  2. for every k'-colored vertex x, the neighbors of x whose color is
 //     neither k' nor k carry pairwise different colors.
 //
-// It returns nil when both conditions hold and a descriptive error naming
-// the first violated condition otherwise.
+// It returns nil when both conditions hold and a descriptive error
+// otherwise.  An unset vertex is reported before anything else, and a
+// cyclic class (named by the color of the first cycle-closing edge in
+// vertex order) before a repeated neighbor color.
+//
+// Both conditions are checked in one pass over the vertices: a single
+// union-find serves every non-k class, since its edges never leave a class.
 func CheckTightPadding(topo grid.Topology, c *color.Coloring, k color.Color) error {
-	counts := c.Counts()
-	for col := range counts {
-		if col == color.None {
-			return fmt.Errorf("blocks: vertex with unset color present")
-		}
-		if col == k {
-			continue
-		}
-		if !IsForest(topo, c, col) {
-			return fmt.Errorf("blocks: color class %v is not a forest", col)
-		}
+	cells := c.Cells()
+	if slices.Contains(cells, color.None) {
+		return fmt.Errorf("blocks: vertex with unset color present")
 	}
-	d := c.Dims()
+	f := NewForest(len(cells))
 	var buf [grid.Degree]int
-	for v := 0; v < c.N(); v++ {
-		own := c.At(v)
+	var repeated error
+	for v, own := range cells {
 		if own == k {
 			continue
 		}
-		seen := make(map[color.Color]bool, grid.Degree)
-		for _, u := range topo.Neighbors(v, buf[:0]) {
-			cu := c.At(u)
-			if cu == k || cu == own {
-				continue
-			}
-			if seen[cu] {
-				return fmt.Errorf("blocks: vertex %v (color %v) has two neighbors of color %v",
-					d.Coord(v), own, cu)
-			}
-			seen[cu] = true
+		ns := topo.Neighbors(v, buf[:0])
+		if f.closesCycle(ns, cells, v) {
+			return fmt.Errorf("blocks: color class %v is not a forest", own)
+		}
+		if repeated != nil {
+			continue
+		}
+		if cu, ok := repeatedOtherColor(ns, cells, own, k); ok {
+			repeated = fmt.Errorf("blocks: vertex %v (color %v) has two neighbors of color %v",
+				c.Dims().Coord(v), own, cu)
 		}
 	}
-	return nil
+	return repeated
+}
+
+// repeatedOtherColor returns the first color, in port order, that repeats
+// an earlier port's color and is neither own nor k.  Ports are not
+// collapsed: on a 2-wide torus a neighbor seen through two ports counts
+// twice.
+func repeatedOtherColor(ns []int, cells []color.Color, own, k color.Color) (color.Color, bool) {
+	for j := 1; j < len(ns); j++ {
+		cu := cells[ns[j]]
+		if cu == k || cu == own {
+			continue
+		}
+		for _, u := range ns[:j] {
+			if cells[u] == cu {
+				return cu, true
+			}
+		}
+	}
+	return color.None, false
 }
 
 // CheckMonotoneDynamoNecessaryConditions verifies the necessary conditions

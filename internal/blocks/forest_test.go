@@ -1,6 +1,7 @@
 package blocks
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/color"
@@ -63,13 +64,15 @@ func TestIsForestDisconnectedComponents(t *testing.T) {
 	}
 }
 
+// Every class other than k must be a forest; the padding check tests all of
+// them in its one pass.
 func TestAllOtherClassesAreForests(t *testing.T) {
 	c := color.NewColoring(grid.MustDims(6, 6), 2)
 	c.FillCol(0, 1)
 	c.FillRow(0, 1)
 	// Color 2 fills the rest as one big blob with many cycles.
-	if AllOtherClassesAreForests(mesh(6, 6), c, 1) {
-		t.Error("the 5x5 blob of color 2 contains cycles")
+	if err := CheckTightPadding(mesh(6, 6), c, 1); err == nil || !strings.Contains(err.Error(), "color class 2 is not a forest") {
+		t.Errorf("the 5x5 blob of color 2 contains cycles, got %v", err)
 	}
 	// Recolor the blob into vertical stripes of distinct colors: each stripe
 	// is a path (column 0 is color 1, so stripes do not wrap).
@@ -78,8 +81,8 @@ func TestAllOtherClassesAreForests(t *testing.T) {
 			c.SetRC(i, j, color.Color(1+j))
 		}
 	}
-	if !AllOtherClassesAreForests(mesh(6, 6), c, 1) {
-		t.Error("disjoint vertical stripes should all be forests")
+	if err := CheckTightPadding(mesh(6, 6), c, 1); err != nil {
+		t.Errorf("disjoint vertical stripes should all be forests, got %v", err)
 	}
 }
 

@@ -3,6 +3,7 @@ package color
 import (
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"repro/internal/grid"
 )
@@ -18,13 +19,23 @@ type coloringJSON struct {
 
 // MarshalJSON encodes the coloring as {"rows", "cols", "cells"} with
 // row-major integer cells.  It is the stable wire contract used by
-// simulation results, reports and checkpoints.
+// simulation results, reports and checkpoints.  The bytes are those
+// encoding/json produces for coloringJSON, appended into one buffer sized
+// for single-digit colors.
 func (c *Coloring) MarshalJSON() ([]byte, error) {
-	out := coloringJSON{Rows: c.dims.Rows, Cols: c.dims.Cols, Cells: make([]int, len(c.cells))}
+	b := make([]byte, 0, 48+2*len(c.cells))
+	b = append(b, `{"rows":`...)
+	b = strconv.AppendInt(b, int64(c.dims.Rows), 10)
+	b = append(b, `,"cols":`...)
+	b = strconv.AppendInt(b, int64(c.dims.Cols), 10)
+	b = append(b, `,"cells":[`...)
 	for i, v := range c.cells {
-		out.Cells[i] = int(v)
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(v), 10)
 	}
-	return json.Marshal(out)
+	return append(b, "]}"...), nil
 }
 
 // UnmarshalJSON decodes the format produced by MarshalJSON.  Unlike

@@ -60,3 +60,46 @@ func TestColoringJSONRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+// FuzzColoringJSONRoundTrip requires MarshalJSON to produce the bytes
+// encoding/json gives for the coloringJSON wire struct, and UnmarshalJSON
+// to restore the coloring from them.
+func FuzzColoringJSONRoundTrip(f *testing.F) {
+	f.Add(uint8(1), uint16(1), []byte{1, 2, 3, 4})
+	f.Add(uint8(2), uint16(1), []byte{1, 2, 3, 4, 5, 6})
+	f.Add(uint8(3), uint16(37), []byte{0, 9, 10, 255, 1, 2})
+	f.Add(uint8(0), uint16(65535), []byte{7})
+	f.Add(uint8(4), uint16(0), make([]byte, 64))
+	f.Fuzz(func(t *testing.T, rows uint8, scale uint16, data []byte) {
+		r := 1 + int(rows%8)
+		cols := len(data) / r
+		if cols == 0 {
+			return
+		}
+		c := &Coloring{dims: grid.Dims{Rows: r, Cols: cols}, cells: make([]Color, r*cols)}
+		wire := coloringJSON{Rows: r, Cols: cols, Cells: make([]int, r*cols)}
+		for i := range c.cells {
+			v := int(data[i]) * int(scale)
+			c.cells[i] = Color(v)
+			wire.Cells[i] = v
+		}
+		got, err := c.MarshalJSON()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("MarshalJSON = %s, encoding/json = %s", got, want)
+		}
+		var back Coloring
+		if err := back.UnmarshalJSON(got); err != nil {
+			t.Fatal(err)
+		}
+		if !back.Equal(c) || back.Dims() != c.Dims() {
+			t.Fatalf("round trip changed the coloring: %s", got)
+		}
+	})
+}

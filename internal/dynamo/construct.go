@@ -2,6 +2,7 @@ package dynamo
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/color"
 	"repro/internal/grid"
@@ -30,17 +31,15 @@ type Construction struct {
 func (c *Construction) SeedSize() int { return len(c.Seed) }
 
 // seedOnly builds a coloring with exactly the given vertices set to k and
-// the rest unset, plus the sorted seed list.
-func seedOnly(d grid.Dims, k color.Color, vertices map[int]bool) (*color.Coloring, []int) {
+// the rest unset, plus the seed list: vertices sorted, duplicates removed.
+// It takes ownership of vertices.
+func seedOnly(d grid.Dims, k color.Color, vertices []int) (*color.Coloring, []int) {
 	c := color.NewColoring(d, color.None)
-	seed := make([]int, 0, len(vertices))
-	for v := 0; v < d.N(); v++ {
-		if vertices[v] {
-			c.Set(v, k)
-			seed = append(seed, v)
-		}
+	for _, v := range vertices {
+		c.Set(v, k)
 	}
-	return c, seed
+	slices.Sort(vertices)
+	return c, slices.Compact(vertices)
 }
 
 // padSeed completes a seed coloring with SolvePadding and assembles the
@@ -89,12 +88,12 @@ func FullCross(m, n int, k color.Color, p color.Palette) (*Construction, error) 
 		return nil, err
 	}
 	topo := grid.MustNew(grid.KindToroidalMesh, m, n)
-	vertices := make(map[int]bool)
+	vertices := make([]int, 0, m+n)
 	for j := 0; j < n; j++ {
-		vertices[dims.IndexRC(0, j)] = true
+		vertices = append(vertices, dims.IndexRC(0, j))
 	}
 	for i := 0; i < m; i++ {
-		vertices[dims.IndexRC(i, 0)] = true
+		vertices = append(vertices, dims.IndexRC(i, 0))
 	}
 	seed, seedList := seedOnly(dims, k, vertices)
 	return padSeed("full-cross", topo, seed, seedList, k, p, rng.New(uint64(m*1000+n)))
@@ -110,7 +109,8 @@ func FullCross(m, n int, k color.Color, p color.Palette) (*Construction, error) 
 // The padding is built analytically from a window-3 rainbow row (or column)
 // sequence whenever such a sequence exists for the palette; otherwise the
 // randomized solver is used.  With four colors the analytic pattern exists
-// unless both m ≡ 2 and n ≡ 2 (mod 3); see DESIGN.md.
+// only when m or n is a multiple of three; experiment E03 tabulates the
+// minimum palette per size.
 func MeshMinimum(m, n int, k color.Color, p color.Palette) (*Construction, error) {
 	dims, err := grid.NewDims(m, n)
 	if err != nil {
@@ -128,12 +128,12 @@ func MeshMinimum(m, n int, k color.Color, p color.Palette) (*Construction, error
 	// Row-oriented variant: seed = column 0 plus row 0 minus (0, n-1),
 	// padding constant per row.
 	rowSeed := func() (*color.Coloring, []int) {
-		vertices := make(map[int]bool)
+		vertices := make([]int, 0, m+n-2)
 		for i := 0; i < m; i++ {
-			vertices[dims.IndexRC(i, 0)] = true
+			vertices = append(vertices, dims.IndexRC(i, 0))
 		}
 		for j := 1; j < n-1; j++ {
-			vertices[dims.IndexRC(0, j)] = true
+			vertices = append(vertices, dims.IndexRC(0, j))
 		}
 		return seedOnly(dims, k, vertices)
 	}
@@ -149,12 +149,12 @@ func MeshMinimum(m, n int, k color.Color, p color.Palette) (*Construction, error
 	// Column-oriented variant: seed = row 0 plus column 0 minus (m-1, 0),
 	// padding constant per column.
 	if seq, corner, ok := PathRainbowSequence(n-1, others); ok {
-		vertices := make(map[int]bool)
+		vertices := make([]int, 0, m+n-2)
 		for j := 0; j < n; j++ {
-			vertices[dims.IndexRC(0, j)] = true
+			vertices = append(vertices, dims.IndexRC(0, j))
 		}
 		for i := 1; i < m-1; i++ {
-			vertices[dims.IndexRC(i, 0)] = true
+			vertices = append(vertices, dims.IndexRC(i, 0))
 		}
 		seed, seedList := seedOnly(dims, k, vertices)
 		full := seed.Clone()
@@ -185,11 +185,11 @@ func CordalisMinimum(m, n int, k color.Color, p color.Palette) (*Construction, e
 		return nil, fmt.Errorf("dynamo: CordalisMinimum requires m >= 4 and n >= 3, got %dx%d", m, n)
 	}
 	topo := grid.MustNew(grid.KindTorusCordalis, m, n)
-	vertices := make(map[int]bool)
+	vertices := make([]int, 0, n+1)
 	for j := 0; j < n; j++ {
-		vertices[dims.IndexRC(0, j)] = true
+		vertices = append(vertices, dims.IndexRC(0, j))
 	}
-	vertices[dims.IndexRC(1, 0)] = true
+	vertices = append(vertices, dims.IndexRC(1, 0))
 	seed, seedList := seedOnly(dims, k, vertices)
 
 	// The structured padding assigns one color per column following a cyclic
@@ -223,17 +223,17 @@ func SerpentinusMinimum(m, n int, k color.Color, p color.Palette) (*Construction
 		return nil, fmt.Errorf("dynamo: SerpentinusMinimum requires min(m,n) >= 3 and max(m,n) >= 4, got %dx%d", m, n)
 	}
 	topo := grid.MustNew(grid.KindTorusSerpentinus, m, n)
-	vertices := make(map[int]bool)
+	vertices := make([]int, 0, dims.Min()+1)
 	if n <= m {
 		for j := 0; j < n; j++ {
-			vertices[dims.IndexRC(0, j)] = true
+			vertices = append(vertices, dims.IndexRC(0, j))
 		}
-		vertices[dims.IndexRC(1, 0)] = true
+		vertices = append(vertices, dims.IndexRC(1, 0))
 	} else {
 		for i := 0; i < m; i++ {
-			vertices[dims.IndexRC(i, 0)] = true
+			vertices = append(vertices, dims.IndexRC(i, 0))
 		}
-		vertices[dims.IndexRC(0, 1)] = true
+		vertices = append(vertices, dims.IndexRC(0, 1))
 	}
 	seed, seedList := seedOnly(dims, k, vertices)
 	others := p.Others(k)
@@ -319,14 +319,14 @@ func CombUpperBound(kind grid.Kind, m, n int, k color.Color, p color.Palette) (*
 		return nil, fmt.Errorf("dynamo: CombUpperBound requires an even number of rows, got %d", m)
 	}
 	topo := grid.MustNew(kind, m, n)
-	vertices := make(map[int]bool)
+	var vertices []int
 	for i := 0; i < m; i += 2 {
 		for j := 0; j < n; j++ {
-			vertices[dims.IndexRC(i, j)] = true
+			vertices = append(vertices, dims.IndexRC(i, j))
 		}
 	}
 	for i := 1; i < m; i += 2 {
-		vertices[dims.IndexRC(i, 0)] = true
+		vertices = append(vertices, dims.IndexRC(i, 0))
 	}
 	seed, seedList := seedOnly(dims, k, vertices)
 	// Any coloring of the remaining vertices works: each odd row is a path
@@ -363,14 +363,14 @@ func SmallTorus(m, n int, k color.Color, p color.Palette) (*Construction, error)
 		return nil, fmt.Errorf("dynamo: SmallTorus applies to min(m,n) = 2, got %v; use MeshMinimum for larger tori", dims)
 	}
 	topo := grid.MustNew(grid.KindToroidalMesh, m, n)
-	vertices := make(map[int]bool)
+	var vertices []int
 	if n <= m {
 		for i := 0; i < m; i++ {
-			vertices[dims.IndexRC(i, 0)] = true
+			vertices = append(vertices, dims.IndexRC(i, 0))
 		}
 	} else {
 		for j := 0; j < n; j++ {
-			vertices[dims.IndexRC(0, j)] = true
+			vertices = append(vertices, dims.IndexRC(0, j))
 		}
 	}
 	seed, seedList := seedOnly(dims, k, vertices)

@@ -57,8 +57,8 @@ func TestMeshMinimumMatchesLowerBoundAndIsMonotoneDynamo(t *testing.T) {
 func TestMeshMinimumWithExactlyFourColors(t *testing.T) {
 	// Theorem 2 promises a construction with |C| >= 4.  With exactly four
 	// colors our padding exists whenever m or n is a multiple of three (the
-	// analytic row/column pattern); E03 tabulates the minimum palette per
-	// size — see DESIGN.md.
+	// analytic row/column pattern); experiment E03 tabulates the minimum
+	// palette per size.
 	for _, size := range [][2]int{{6, 6}, {7, 9}, {8, 6}, {9, 5}, {12, 11}} {
 		c, err := MeshMinimum(size[0], size[1], 1, pal(4))
 		if err != nil {
@@ -75,10 +75,10 @@ func TestMeshMinimumFourColorInfeasibleSizes(t *testing.T) {
 	// On a 4x4 torus no padding with exactly four colors satisfies the
 	// theorem hypotheses together with seed safety (established by the
 	// exhaustive backtracking fallback); five colors work.  This deviation
-	// from the paper's "|C| >= 4 suffices" claim is recorded in
-	// EXPERIMENTS.md.
+	// from the paper's "|C| >= 4 suffices" claim is the 4x4 "built=no" row
+	// of experiment E03.
 	if _, err := MeshMinimum(4, 4, 1, pal(4)); err == nil {
-		t.Log("note: a 4-color padding was found for 4x4; update EXPERIMENTS.md")
+		t.Log("note: a 4-color padding was found for 4x4; update the E03 note")
 	}
 	c, err := MeshMinimum(4, 4, 1, pal(5))
 	if err != nil {
@@ -283,5 +283,22 @@ func TestTargetColorOtherThanOne(t *testing.T) {
 	v := Verify(c)
 	if !v.IsDynamo || v.Result.FinalColor != 3 {
 		t.Error("construction should work for any target color in the palette")
+	}
+}
+
+// TestMinimumAllocsBounded pins the tight constructions at a constant
+// number of allocations: the seed, the colorings, the padding sequence and
+// the one union-find of the padding check, none of them per vertex.
+func TestMinimumAllocsBounded(t *testing.T) {
+	for _, kind := range []grid.Kind{grid.KindToroidalMesh, grid.KindTorusCordalis, grid.KindTorusSerpentinus} {
+		allocs := testing.AllocsPerRun(5, func() {
+			if _, err := Minimum(kind, 256, 256, 1, pal(5)); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 64 {
+			t.Errorf("%v 256x256: Minimum made %.0f allocations, want at most 64", kind, allocs)
+		}
+		t.Logf("%v 256x256: %.0f allocations", kind, allocs)
 	}
 }

@@ -101,7 +101,7 @@ func FrozenTiling(m, n int, k color.Color, p color.Palette) (*Construction, erro
 // in round one, and together with the corner and the ends of the first and
 // last padding rows forms a block of that color which never recolors.  This
 // documents a gap in the sufficient condition of Theorem 2 (the condition
-// constrains only non-k vertices); see EXPERIMENTS.md.  Requires
+// constrains only non-k vertices), which experiment E16 reports.  Requires
 // m ≡ 2 (mod 3), m, n >= 5 and at least 4 colors.
 func StatedConditionsGap(m, n int, k color.Color, p color.Palette) (*Construction, error) {
 	dims, err := grid.NewDims(m, n)

@@ -77,7 +77,7 @@ func TestStatedConditionsGap(t *testing.T) {
 	// The configuration satisfies the hypotheses of Theorem 2 exactly as
 	// stated in the paper, yet it is not a monotone dynamo: the seed vertex
 	// next to the missing corner defects in round 1.  This documents the
-	// hypothesis gap reported in EXPERIMENTS.md.
+	// hypothesis gap that experiment E16 reports.
 	for _, size := range [][2]int{{8, 8}, {5, 9}, {11, 6}} {
 		c, err := StatedConditionsGap(size[0], size[1], 1, pal(5))
 		if err != nil {

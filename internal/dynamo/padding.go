@@ -254,32 +254,11 @@ type solver struct {
 	c      *color.Coloring
 	k      color.Color
 	others []color.Color
-	// parent holds one union-find forest per color, used to keep every
-	// color class acyclic while assigning greedily.
-	parent map[color.Color][]int
+	// forest keeps every color class acyclic while assigning greedily: an
+	// assignment only links equally colored neighbors, so one union-find
+	// serves all classes.
+	forest blocks.Forest
 }
-
-func newSolver(topo grid.Topology, c *color.Coloring, k color.Color, others []color.Color) *solver {
-	return &solver{topo: topo, c: c, k: k, others: others, parent: make(map[color.Color][]int)}
-}
-
-func (s *solver) find(col color.Color, v int) int {
-	p, ok := s.parent[col]
-	if !ok {
-		p = make([]int, s.c.N())
-		for i := range p {
-			p[i] = i
-		}
-		s.parent[col] = p
-	}
-	for p[v] != v {
-		p[v] = p[p[v]]
-		v = p[v]
-	}
-	return v
-}
-
-func (s *solver) union(col color.Color, a, b int) { s.parent[col][s.find(col, a)] = s.find(col, b) }
 
 // paddingConstraintsOK checks every local (non-forest) constraint that
 // assigning color x to vertex v could violate, looking only at
@@ -368,8 +347,9 @@ func paddingConstraintsOK(topo grid.Topology, c *color.Coloring, k color.Color, 
 // are already connected within the class.  It walks the class explicitly so
 // it needs no auxiliary state and works inside the backtracking solver.
 func wouldCloseCycle(topo grid.Topology, c *color.Coloring, v int, x color.Color) bool {
+	var buf [grid.Degree]int
 	var sameColor []int
-	for _, u := range grid.UniqueNeighbors(topo, v) {
+	for _, u := range grid.UniqueNeighbors(topo, v, buf[:0]) {
 		if c.At(u) == x {
 			sameColor = append(sameColor, u)
 		}
@@ -391,7 +371,7 @@ func wouldCloseCycle(topo grid.Topology, c *color.Coloring, v int, x color.Color
 		if targets[w] {
 			return true
 		}
-		for _, z := range grid.UniqueNeighbors(topo, w) {
+		for _, z := range grid.UniqueNeighbors(topo, w, buf[:0]) {
 			if z != v && !visited[z] && c.At(z) == x {
 				visited[z] = true
 				queue = append(queue, z)
@@ -407,12 +387,13 @@ func (s *solver) candidateOK(v int, x color.Color) bool {
 	if !paddingConstraintsOK(s.topo, s.c, s.k, v, x) {
 		return false
 	}
-	roots := make([]int, 0, grid.Degree)
-	for _, u := range grid.UniqueNeighbors(s.topo, v) {
+	var buf, rootBuf [grid.Degree]int
+	roots := rootBuf[:0]
+	for _, u := range grid.UniqueNeighbors(s.topo, v, buf[:0]) {
 		if s.c.At(u) != x {
 			continue
 		}
-		r := s.find(x, u)
+		r := s.forest.Find(u)
 		for _, seenRoot := range roots {
 			if seenRoot == r {
 				return false
@@ -425,9 +406,10 @@ func (s *solver) candidateOK(v int, x color.Color) bool {
 
 func (s *solver) assign(v int, x color.Color) {
 	s.c.Set(v, x)
-	for _, u := range grid.UniqueNeighbors(s.topo, v) {
+	var buf [grid.Degree]int
+	for _, u := range grid.UniqueNeighbors(s.topo, v, buf[:0]) {
 		if s.c.At(u) == x && u != v {
-			s.union(x, v, u)
+			s.forest.Union(v, u)
 		}
 	}
 }
@@ -513,9 +495,13 @@ func SolvePadding(topo grid.Topology, seed *color.Coloring, k color.Color, p col
 	d := seed.Dims()
 	candidates := make([]color.Color, L)
 	var lastErr error
+	c := seed.Clone()
+	s := &solver{topo: topo, c: c, k: k, others: others, forest: blocks.NewForest(c.N())}
 	for attempt := 0; attempt < maxAttempts; attempt++ {
-		c := seed.Clone()
-		s := newSolver(topo, c, k, others)
+		if attempt > 0 { // start over from the seed
+			copy(c.Cells(), seed.Cells())
+			s.forest.Reset()
+		}
 		ok := true
 		for _, v := range unset {
 			switch {

@@ -170,7 +170,7 @@ func TestBacktrackPaddingFallbackOnTinyTorus(t *testing.T) {
 	// the DFS must prove it rather than loop forever.
 	c2 := seed.Clone()
 	if backtrackPadding(topo, c2, 1, pal(4).Others(1), unset) {
-		t.Log("note: a 4-color padding was found for 4x4; update EXPERIMENTS.md")
+		t.Log("note: a 4-color padding was found for 4x4; update the E03 note")
 	}
 }
 

@@ -13,7 +13,7 @@ func ceilDiv(a, b int) int { return (a + b - 1) / b }
 // The formula matches the full-cross configuration of Figure 5 exactly; for
 // the strictly minimum (m+n−2) configuration of Theorem 2 the measured count
 // is one round larger (the missing corner of the seed delays one diagonal),
-// which EXPERIMENTS.md reports as a systematic deviation.
+// which experiment E07 reports as a systematic deviation.
 func PredictedRoundsMesh(dims grid.Dims) int {
 	m, n := dims.Rows, dims.Cols
 	a := ceilDiv(n-1, 2) - 1
@@ -36,7 +36,7 @@ func PredictedRoundsMesh(dims grid.Dims) int {
 // so the last vertex is the one maximizing both distances.  For square tori
 // this coincides with the paper's Theorem 7 formula; for rectangular tori
 // the paper's max-based formula overestimates by the difference of the two
-// half-spans, which EXPERIMENTS.md reports.
+// half-spans, which experiment E07 reports.
 func ExactRoundsFullCross(dims grid.Dims) int {
 	return ceilDiv(dims.Rows-1, 2) + ceilDiv(dims.Cols-1, 2) - 1
 }

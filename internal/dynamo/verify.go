@@ -77,8 +77,9 @@ func checkConstruction(topo grid.Topology, full *color.Coloring, k color.Color) 
 //
 // Note that the strict "union of k-blocks" reading of Lemma 2 is not
 // enforced: the paper's own Theorem 2 seed (a row with one vertex removed)
-// violates it at the removed corner, so that condition is reported by the
-// experiments rather than treated as a hard requirement (see EXPERIMENTS.md).
+// violates it at the removed corner, so that condition is left to
+// blocks.CheckMonotoneDynamoNecessaryConditions rather than treated as a
+// hard requirement here.
 func CheckTheoremConditions(c *Construction) error {
 	if err := blocks.CheckTightPadding(c.Topology, c.Coloring, c.Target); err != nil {
 		return fmt.Errorf("dynamo: padding conditions violated: %w", err)

@@ -137,8 +137,9 @@ func (g *Graph) Connected() bool {
 // dynamics can be compared against the torus engine on identical inputs.
 func FromTorus(t grid.Topology) *Graph {
 	g := NewGraph(t.Dims().N())
+	var buf [grid.Degree]int
 	for v := 0; v < g.N(); v++ {
-		for _, u := range grid.UniqueNeighbors(t, v) {
+		for _, u := range grid.UniqueNeighbors(t, v, buf[:0]) {
 			g.AddEdge(v, u)
 		}
 	}

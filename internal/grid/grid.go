@@ -204,13 +204,13 @@ func NeighborsOf(t Topology, v int) []int {
 	return t.Neighbors(v, make([]int, 0, Degree))
 }
 
-// UniqueNeighbors returns the de-duplicated neighbor set of v (duplicates
-// appear only when a dimension equals 2).  The result preserves first-seen
-// order.
-func UniqueNeighbors(t Topology, v int) []int {
-	var buf [Degree]int
+// UniqueNeighbors appends the de-duplicated neighbor set of v to buf[:0]
+// and returns it (duplicates appear only when a dimension equals 2).  The
+// result preserves first-seen order.  Like Topology.Neighbors it does not
+// allocate when buf has capacity for Degree entries.
+func UniqueNeighbors(t Topology, v int, buf []int) []int {
 	ns := t.Neighbors(v, buf[:0])
-	out := make([]int, 0, Degree)
+	out := ns[:0]
 	for _, u := range ns {
 		dup := false
 		for _, w := range out {
@@ -231,8 +231,9 @@ func UniqueNeighbors(t Topology, v int) []int {
 func EdgeCount(t Topology) int {
 	n := t.Dims().N()
 	count := 0
+	var buf [Degree]int
 	for v := 0; v < n; v++ {
-		for _, u := range UniqueNeighbors(t, v) {
+		for _, u := range UniqueNeighbors(t, v, buf[:0]) {
 			if u > v {
 				count++
 			} else if u == v {
@@ -248,7 +249,8 @@ func EdgeCount(t Topology) int {
 // Adjacent reports whether u and v are adjacent in the topology (on the
 // simple graph).
 func Adjacent(t Topology, u, v int) bool {
-	for _, w := range UniqueNeighbors(t, u) {
+	var buf [Degree]int
+	for _, w := range UniqueNeighbors(t, u, buf[:0]) {
 		if w == v {
 			return true
 		}

@@ -392,13 +392,14 @@ func TestEdgeCount(t *testing.T) {
 func TestUniqueNeighborsOnDegenerateTorus(t *testing.T) {
 	// On a 2xN mesh the up and down ports of a vertex coincide.
 	topo := MustNew(KindToroidalMesh, 2, 5)
-	u := UniqueNeighbors(topo, 0)
+	var buf [Degree]int
+	u := UniqueNeighbors(topo, 0, buf[:0])
 	if len(u) != 3 {
 		t.Errorf("2x5 mesh: UniqueNeighbors(0) = %v, want 3 entries", u)
 	}
 	// On a 3xN mesh all four are distinct.
 	topo = MustNew(KindToroidalMesh, 3, 5)
-	if got := UniqueNeighbors(topo, 0); len(got) != 4 {
+	if got := UniqueNeighbors(topo, 0, buf[:0]); len(got) != 4 {
 		t.Errorf("3x5 mesh: UniqueNeighbors(0) = %v, want 4 entries", got)
 	}
 }

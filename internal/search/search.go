@@ -4,9 +4,9 @@
 //
 // The package exists for two reasons.  First, it provides the negative
 // controls of the lower-bound experiments (random undersized seeds almost
-// never take over).  Second, it found the counterexamples documented in
-// EXPERIMENTS.md: monotone dynamos *below* the Theorem 1 bound on small
-// toroidal meshes.
+// never take over).  Second, it found the counterexamples experiment E17
+// records: monotone dynamos *below* the Theorem 1 bound on small toroidal
+// meshes.
 package search
 
 import (

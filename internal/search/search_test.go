@@ -9,7 +9,7 @@ import (
 )
 
 func TestRandomDynamoFindsSubBoundMonotoneDynamoOn4x4(t *testing.T) {
-	// The counterexample to Theorem 1 documented in EXPERIMENTS.md: a
+	// The counterexample to Theorem 1 that experiment E17 records: a
 	// monotone dynamo strictly below the m+n-2 bound on the 4x4 mesh.
 	topo := grid.MustNew(grid.KindToroidalMesh, 4, 4)
 	bound := dynamo.LowerBound(grid.KindToroidalMesh, topo.Dims())
